@@ -145,10 +145,9 @@ runSuiteMatrix(std::uint64_t instructions, unsigned threads = 1,
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     std::fprintf(stderr,
-                 "  [suite] %zu jobs on %u thread(s): %.2fs (%s build%s)\n",
+                 "  [suite] %zu jobs on %u thread(s): %.2fs (%s build)\n",
                  outcomes.size(), runner.threads(), elapsed.count(),
-                 buildinfo::kBuildType,
-                 buildinfo::kNativeArch ? ", -march=native" : "");
+                 buildinfo::kBuildType);
 
     // Fold the flat outcome list back into per-workload rows. Outcomes
     // arrive in expansion order (workloads outer), so rows keep the

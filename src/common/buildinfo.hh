@@ -2,8 +2,8 @@
  * @file
  * Build configuration baked in at compile time. Host-throughput
  * numbers are meaningless without the build type attached, so every
- * perf-reporting surface (dgrun --perf, the bench targets) stamps its
- * output with these constants.
+ * perf-reporting surface (perfbench/dgbench, the figure benches) stamps
+ * its output with these constants.
  */
 
 #ifndef DGSIM_COMMON_BUILDINFO_HH
@@ -19,12 +19,9 @@ namespace dgsim::buildinfo
 /// CMAKE_BUILD_TYPE at configure time ("Release", "RelWithDebInfo", ...).
 inline constexpr const char *kBuildType = DGSIM_BUILD_TYPE;
 
-/// True when configured with -DDGSIM_NATIVE=ON (-march=native).
-#ifdef DGSIM_NATIVE_ARCH
-inline constexpr bool kNativeArch = true;
-#else
+/// True for a -march=native build. Every build is portable, so always
+/// false; perfbench stamps it into each result.
 inline constexpr bool kNativeArch = false;
-#endif
 
 /// True for the build type throughput numbers should be quoted from.
 inline constexpr bool

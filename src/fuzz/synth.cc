@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 
 namespace dgsim::fuzz
@@ -175,10 +176,7 @@ AttackerIr
 synthesize(std::uint64_t fuzz_seed, std::uint64_t key)
 {
     // FNV-combine the two halves of the identity into the RNG seed.
-    std::uint64_t seed = 0xcbf29ce484222325ULL;
-    seed = (seed ^ fuzz_seed) * 0x100000001b3ULL;
-    seed = (seed ^ key) * 0x100000001b3ULL;
-    Rng rng(seed);
+    Rng rng(fnvMix(fnvMix(kFnvOffsetBasis, fuzz_seed), key));
 
     AttackerIr ir;
     ir.name = candidateName(key);

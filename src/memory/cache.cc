@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim
@@ -181,10 +182,7 @@ Cache::hashState(std::uint64_t &hash) const
     // *persistent* microarchitectural state an attacker can probe after
     // the transient window (which lines are present and their
     // replacement order), not transient timing.
-    auto mix = [&hash](std::uint64_t v) {
-        hash ^= v;
-        hash *= 0x100000001b3ULL;
-    };
+    auto mix = [&hash](std::uint64_t v) { hash = fnvMix(hash, v); };
     // Ranks within a set must be hashed relative to each other, not as
     // raw stamps, so that identical cache contents reached through a
     // different number of accesses still hash equal. A line's rank is

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
+
 namespace dgsim
 {
 
@@ -81,11 +83,13 @@ MemoryImage::words() const
 std::uint64_t
 MemoryImage::digest() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    // Byte-wise FNV-1a over each word's bytes, least significant
+    // first, so the digest does not depend on host byte order.
+    std::uint64_t hash = kFnvOffsetBasis;
     auto mix = [&hash](std::uint64_t v) {
         for (unsigned i = 0; i < 8; ++i) {
-            hash ^= (v >> (i * 8)) & 0xff;
-            hash *= 0x100000001b3ULL;
+            const unsigned char byte = (v >> (i * 8)) & 0xff;
+            hash = fnv1a(&byte, 1, hash);
         }
     };
     for (const auto &[addr, value] : words()) {

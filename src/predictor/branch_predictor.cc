@@ -1,5 +1,6 @@
 #include "predictor/branch_predictor.hh"
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim
@@ -88,10 +89,9 @@ BranchPredictor::predict(Addr pc, const Instruction &inst)
 std::uint64_t
 BranchPredictor::digest() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t hash = kFnvOffsetBasis;
     const auto mix = [&hash](std::uint64_t value) {
-        hash ^= value;
-        hash *= 0x100000001b3ULL;
+        hash = fnvMix(hash, value);
     };
     for (std::uint8_t counter : counters_)
         mix(counter);

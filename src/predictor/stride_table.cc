@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim
@@ -155,10 +156,9 @@ StrideTable::digest() const
     // stamps/in-flight counts — host-visible bookkeeping, not
     // adversary-probeable state — are already dropped.
     const State state = exportState();
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t hash = kFnvOffsetBasis;
     const auto mix = [&hash](std::uint64_t value) {
-        hash ^= value;
-        hash *= 0x100000001b3ULL;
+        hash = fnvMix(hash, value);
     };
     for (const StrideEntry &entry : state.entries) {
         mix(entry.valid ? 1 : 0);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 #include "runner/result_sink.hh"
 
@@ -16,28 +17,18 @@ namespace dgsim::runner
 namespace
 {
 
-/** 64-bit FNV-1a, chained across calls via @p hash. */
+/** Chain one identity field into @p hash (byte-wise FNV-1a). */
 void
-fnv1a(std::uint64_t &hash, const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-}
-
-void
-fnv1a(std::uint64_t &hash, const std::string &text)
+hashField(std::uint64_t &hash, const std::string &text)
 {
     // Hash the terminator too so {"ab","c"} != {"a","bc"}.
-    fnv1a(hash, text.c_str(), text.size() + 1);
+    hash = fnv1a(text.c_str(), text.size() + 1, hash);
 }
 
 void
-fnv1a(std::uint64_t &hash, std::uint64_t value)
+hashField(std::uint64_t &hash, std::uint64_t value)
 {
-    fnv1a(hash, &value, sizeof(value));
+    hash = fnv1a(&value, sizeof(value), hash);
 }
 
 } // namespace
@@ -45,30 +36,30 @@ fnv1a(std::uint64_t &hash, std::uint64_t value)
 std::string
 jobKey(const Job &job)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    fnv1a(hash, job.suite);
-    fnv1a(hash, job.workload);
-    fnv1a(hash, job.config.label());
+    std::uint64_t hash = kFnvOffsetBasis;
+    hashField(hash, job.suite);
+    hashField(hash, job.workload);
+    hashField(hash, job.config.label());
     if (job.kind == JobKind::FuzzCandidate) {
         // A fuzz job's identity is its candidate: two integers that the
         // synthesizer expands deterministically. Different seeds (or a
         // key/workload mismatch) must never satisfy each other's
         // journal records.
-        fnv1a(hash, std::string("fuzz-candidate"));
-        fnv1a(hash, job.fuzzKey);
-        fnv1a(hash, job.fuzzSeed);
+        hashField(hash, std::string("fuzz-candidate"));
+        hashField(hash, job.fuzzKey);
+        hashField(hash, job.fuzzSeed);
     }
-    fnv1a(hash, job.config.maxInstructions);
-    fnv1a(hash, job.config.maxCycles);
-    fnv1a(hash, job.config.warmupInstructions);
+    hashField(hash, job.config.maxInstructions);
+    hashField(hash, job.config.maxCycles);
+    hashField(hash, job.config.warmupInstructions);
     // Sampled-simulation shape: a resumed/sampled sweep must never be
     // satisfied by a journal record from a differently-shaped run.
-    fnv1a(hash, job.config.ffwdInstructions);
-    fnv1a(hash, job.config.sampleInterval);
-    fnv1a(hash, job.config.sampleDetail);
-    fnv1a(hash, job.config.ckptSavePath);
-    fnv1a(hash, job.config.ckptSaveInst);
-    fnv1a(hash, job.config.ckptRestorePath);
+    hashField(hash, job.config.ffwdInstructions);
+    hashField(hash, job.config.sampleInterval);
+    hashField(hash, job.config.sampleDetail);
+    hashField(hash, job.config.ckptSavePath);
+    hashField(hash, job.config.ckptSaveInst);
+    hashField(hash, job.config.ckptRestorePath);
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(hash));

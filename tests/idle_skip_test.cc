@@ -85,17 +85,21 @@ expectModesAgree(const std::string &workload, const SimConfig &config)
 
 /** Memory-bound pointer chase: long MSHR-fill waits are the bread and
  * butter of the time warp. The LQ-completion and MSHR-fill horizons
- * must wake the core exactly when data lands. */
+ * must wake the core exactly when data lands. chase_long, the long
+ * tier's 1M-node chase, misses to DRAM on nearly every hop. */
 TEST(IdleSkipTest, MemoryBoundChaseSkipsWithIdenticalResults)
 {
     SimConfig config = baseConfig();
     config.scheme = Scheme::Stt;
     config.addressPrediction = true;
-    const ModeRun on = expectModesAgree("mcf", config);
-    EXPECT_GT(on.result.idleCyclesSkipped, 0u);
-    EXPECT_GT(on.result.skipEvents, 0u);
-    // Each warp spans at least one skipped cycle.
-    EXPECT_GE(on.result.idleCyclesSkipped, on.result.skipEvents);
+    for (const char *workload : {"mcf", "chase_long"}) {
+        const ModeRun on = expectModesAgree(workload, config);
+        EXPECT_GT(on.result.idleCyclesSkipped, 0u) << workload;
+        EXPECT_GT(on.result.skipEvents, 0u) << workload;
+        // Each warp spans at least one skipped cycle.
+        EXPECT_GE(on.result.idleCyclesSkipped, on.result.skipEvents)
+            << workload;
+    }
 }
 
 /** DoM delayed release: unsafe loads sit epoch-gated until their
