@@ -10,6 +10,46 @@
 namespace dgsim
 {
 
+namespace
+{
+
+/// Orders a seq-sorted handle list against a sequence number.
+bool
+seqBefore(const DynInstPtr &inst, SeqNum seq)
+{
+    return inst->seq < seq;
+}
+
+/** Insert @p inst into the seq-sorted @p list at its place. */
+void
+insertBySeq(std::vector<DynInstPtr> &list, const DynInstPtr &inst)
+{
+    list.insert(std::lower_bound(list.begin(), list.end(), inst->seq,
+                                 seqBefore),
+                inst);
+}
+
+/** Remove @p inst, which must be present, from the seq-sorted @p list. */
+void
+eraseBySeq(std::vector<DynInstPtr> &list, const DynInstPtr &inst)
+{
+    const auto it =
+        std::lower_bound(list.begin(), list.end(), inst->seq, seqBefore);
+    DGSIM_ASSERT(it != list.end() && *it == inst,
+                 "scheduling list lost seq " + std::to_string(inst->seq));
+    list.erase(it);
+}
+
+/** Drop the suffix of the seq-sorted @p list with seq >= @p first_bad. */
+void
+truncateFrom(std::vector<DynInstPtr> &list, SeqNum first_bad)
+{
+    while (!list.empty() && list.back()->seq >= first_bad)
+        list.pop_back();
+}
+
+} // namespace
+
 OooCore::OooCore(const Program &program, const SimConfig &config,
                  StatRegistry &stats)
     : program_(program),
@@ -26,6 +66,7 @@ OooCore::OooCore(const Program &program, const SimConfig &config,
                                                   stats)),
       regfile_(config.numPhysRegs),
       data_mem_(program.initialData),
+      reg_waiters_(config.numPhysRegs),
       fetch_pc_(program.entry),
       committedInstrs_(stats.counter("core.committedInstrs")),
       committedLoadsStat_(stats.counter("core.committedLoads")),
@@ -130,7 +171,7 @@ OooCore::tick()
     // and per-cycle sampling is measurable in the cycle loop.
     if ((cycle_ & 63) == 0) {
         robOccupancyDist_.sample(rob_.size());
-        iqOccupancyDist_.sample(iq_.size());
+        iqOccupancyDist_.sample(iq_count_);
         lqOccupancyDist_.sample(lq_.size());
     }
     commitStage();
@@ -213,20 +254,19 @@ OooCore::nextEventCycle() const
             consider(inst->execDoneAt);
     }
     // LQ data arrivals: demand fills, forwarded data and doppelganger
-    // fills. Same countdown bound as the writeback scan.
-    std::size_t incomplete = lq_incomplete_;
-    for (auto it = lqScanStart(lq_complete_barrier_);
-         it != lq_.end() && incomplete != 0; ++it) {
-        const DynInstPtr &load = *it;
-        if (load->squashed || load->completed)
+    // fills. Every data time not yet due is still in arrivals_, so its
+    // live loads are the only ones that can owe a future arrival; each
+    // contributes the time of the path writeback currently waits on.
+    for (const Arrival &arrival : arrivals_) {
+        const DynInst &load = *arrival.load;
+        if (load.seq != arrival.seq || load.squashed || load.completed)
             continue;
-        --incomplete;
-        if (load->dgState == DgState::Verified && load->dgAccessIssued) {
-            if (!load->dgDataArrived)
-                consider(load->dgDataAt);
-        } else if ((load->memIssued || load->forwarded) &&
-                   !load->dataArrived) {
-            consider(load->dataAt);
+        if (load.dgState == DgState::Verified && load.dgAccessIssued) {
+            if (!load.dgDataArrived)
+                consider(load.dgDataAt);
+        } else if ((load.memIssued || load.forwarded) &&
+                   !load.dataArrived) {
+            consider(load.dataAt);
         }
     }
     // Frontend: the oldest fetched-but-not-decoded slot, and the
@@ -256,7 +296,7 @@ OooCore::skipTo(Cycle target)
     const std::uint64_t samples = advance_to / 64 - cycle_ / 64;
     if (samples != 0) {
         robOccupancyDist_.sample(rob_.size(), samples);
-        iqOccupancyDist_.sample(iq_.size(), samples);
+        iqOccupancyDist_.sample(iq_count_, samples);
         lqOccupancyDist_.sample(lq_.size(), samples);
     }
     cycle_ = advance_to;
@@ -452,14 +492,13 @@ OooCore::propagateLoad(const DynInstPtr &inst, RegValue value)
             taint_tracker_.addRoot(inst->seq);
             inst->resultTainted = true;
         }
-        regfile_.setReady(inst->prd);
+        wakeRegister(inst->prd);
     }
     ++wake_epoch_; // Register wakeup (and possibly a new taint root).
     // A doppelganger-fed load can complete without ever issuing its
-    // demand access; retire it from the unissued count if so.
+    // demand access; it leaves the address-ready list here if so.
     if (!inst->memIssued && !inst->forwarded)
-        --lq_unissued_;
-    --lq_incomplete_;
+        eraseBySeq(lq_addr_ready_, inst);
     inst->completed = true;
     inst->completedAt = cycle_;
     // Load-to-use latency: dispatch to value propagation, i.e. what
@@ -486,25 +525,40 @@ OooCore::loadValueNow(const DynInst &inst, Addr addr) const
 }
 
 void
+OooCore::scheduleArrival(const DynInstPtr &load, Cycle at)
+{
+    arrivals_.push_back({at, load->seq, load});
+    std::push_heap(arrivals_.begin(), arrivals_.end(), Arrival::later);
+}
+
+void
 OooCore::writebackStage()
 {
     // --- Load data arrival and propagation ------------------------------
-    // Start past the completed prefix and count down the incomplete
-    // entries: once all of them have been visited the rest of the LQ
-    // is completed loads awaiting commit, which this scan would only
-    // skip.
-    std::size_t incomplete = lq_incomplete_;
-    SeqNum first_incomplete = kInvalidSeq;
-    for (auto it = lqScanStart(lq_complete_barrier_); it != lq_.end();
-         ++it) {
-        const DynInstPtr &load = *it;
-        if (incomplete == 0)
-            break;
-        if (load->squashed || load->completed)
+    // Admit every load whose data time has come. A load pushed twice
+    // (demand and doppelganger fill) or already admitted is dropped,
+    // and so is a stale entry: the seq check catches a recycled handle.
+    while (!arrivals_.empty() && arrivals_.front().at <= cycle_) {
+        std::pop_heap(arrivals_.begin(), arrivals_.end(),
+                      Arrival::later);
+        const Arrival arrival = arrivals_.back();
+        arrivals_.pop_back();
+        const DynInstPtr load = arrival.load;
+        if (load->seq != arrival.seq || load->squashed || load->completed ||
+            load->wbCandidate) {
             continue;
-        --incomplete;
-        if (first_incomplete == kInvalidSeq)
-            first_incomplete = load->seq;
+        }
+        load->wbCandidate = true;
+        insertBySeq(wb_candidates_, load);
+    }
+    // Only an admitted load can act below: every other one is still
+    // waiting for data. Candidates are walked oldest first and stay on
+    // the list until they complete; the body switches between the
+    // doppelganger and the demand path as the load's state moves.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < wb_candidates_.size(); ++i) {
+        const DynInstPtr load = wb_candidates_[i];
+        wb_candidates_[kept++] = load; // Until it completes below.
 
         if (load->dgState == DgState::Verified && load->dgAccessIssued) {
             if (!load->dgDataArrived && load->dgDataAt <= cycle_) {
@@ -526,7 +580,9 @@ OooCore::writebackStage()
             }
             if (load->invalSnooped) {
                 // §4.5: the noted invalidation takes effect when the
-                // preloaded data would propagate.
+                // preloaded data would propagate. The squash truncates
+                // this load and every younger candidate.
+                wb_candidates_.resize(kept);
                 ++snoopSquashes_;
                 squashFrom(load->seq, load->pc,
                            SquashReason::InvalidationSnoop);
@@ -542,6 +598,7 @@ OooCore::writebackStage()
             }
             load->fwdFromSeq = value->second;
             propagateLoad(load, value->first);
+            --kept; // Completed: off the list before commit recycles it.
             continue;
         }
 
@@ -564,6 +621,7 @@ OooCore::writebackStage()
             continue;
         }
         if (load->invalSnooped) {
+            wb_candidates_.resize(kept);
             ++snoopSquashes_;
             squashFrom(load->seq, load->pc, SquashReason::InvalidationSnoop);
             return;
@@ -578,19 +636,14 @@ OooCore::writebackStage()
         }
         load->fwdFromSeq = value->second;
         propagateLoad(load, value->first);
+        --kept;
     }
-    // Advance the barrier to the first load seen still incomplete (it
-    // may have completed just now; one stale entry is harmless). With
-    // none left, everything currently in flight is complete.
-    if (first_incomplete != kInvalidSeq)
-        lq_complete_barrier_ = first_incomplete;
-    else if (lq_incomplete_ == 0)
-        lq_complete_barrier_ = next_seq_;
+    wb_candidates_.resize(kept);
 
     // --- Deferred branch resolutions, oldest first -----------------------
     // The list is kept seq-sorted by insertUnresolved(), so no per-cycle
     // sort is needed.
-    std::size_t kept = 0;
+    kept = 0;
     for (std::size_t i = 0; i < unresolved_branches_.size(); ++i) {
         const DynInstPtr inst = unresolved_branches_[i];
         if (inst->squashed) {
@@ -644,12 +697,7 @@ OooCore::insertUnresolved(const DynInstPtr &inst)
     // a younger one), so insert at the sorted position. The list is a
     // handful of entries; the shift is cheaper than the per-cycle sort
     // it replaces.
-    const auto it = std::upper_bound(
-        unresolved_branches_.begin(), unresolved_branches_.end(),
-        inst->seq, [](SeqNum seq, const DynInstPtr &b) {
-            return seq < b->seq;
-        });
-    unresolved_branches_.insert(it, inst);
+    insertBySeq(unresolved_branches_, inst);
 }
 
 void
@@ -719,7 +767,7 @@ OooCore::executeStage()
           case OpClass::IntMul:
           case OpClass::IntDiv:
             if (inst->prd != kInvalidPhysReg) {
-                regfile_.setReady(inst->prd);
+                wakeRegister(inst->prd);
                 ++wake_epoch_; // Register wakeup.
             }
             inst->completed = true;
@@ -727,7 +775,7 @@ OooCore::executeStage()
             break;
           case OpClass::Branch: {
             if (inst->prd != kInvalidPhysReg) {
-                regfile_.setReady(inst->prd);
+                wakeRegister(inst->prd);
                 ++wake_epoch_; // Register wakeup.
             }
             inst->completedAt = cycle_;
@@ -749,6 +797,8 @@ OooCore::executeStage()
           }
           case OpClass::MemRead: {
             inst->addrReady = true;
+            // Issue order is not program order: insert at its place.
+            insertBySeq(lq_addr_ready_, inst);
             const bool had_prediction = inst->dgState == DgState::Predicted;
             dg_unit_->verify(*inst);
             if (had_prediction) {
@@ -800,7 +850,9 @@ OooCore::checkMemOrderViolation(const DynInstPtr &store)
     // A younger load that already propagated a value not obtained from
     // this store (or a store younger than it) read stale data. The LQ
     // is seq-sorted; skip straight past the older loads.
-    for (auto it = lqScanStart(store->seq + 1); it != lq_.end(); ++it) {
+    for (auto it = std::lower_bound(lq_.begin(), lq_.end(), store->seq + 1,
+                                    seqBefore);
+         it != lq_.end(); ++it) {
         const DynInstPtr &load = *it;
         if (load->squashed)
             continue;
@@ -829,24 +881,14 @@ OooCore::memoryIssueStage()
 
     // --- Pass 1: demand loads (priority; paper §5 "non-predicted
     // addresses are always prioritized for execution") ------------------
-    // Start past the prefix of already-issued loads and count down the
-    // ones still awaiting demand issue: most cycles the scan touches
-    // only the few actionable entries at the young end of the queue.
-    std::size_t pending = lq_unissued_;
-    SeqNum first_pending = kInvalidSeq;
-    for (auto it = lqScanStart(lq_issue_barrier_); it != lq_.end(); ++it) {
-        const DynInstPtr &load = *it;
-        if (slots == 0 || pending == 0)
-            break;
-        if (load->squashed || load->completed || load->memIssued ||
-            load->forwarded) {
-            continue;
-        }
-        --pending;
-        if (first_pending == kInvalidSeq)
-            first_pending = load->seq;
-        if (!load->addrReady)
-            continue;
+    // Only a load with a known address can issue, so the pass walks
+    // the address-ready list, oldest first. A load leaves it once it
+    // issues or forwards; the rest are kept in place.
+    std::size_t kept = 0;
+    std::size_t visited = 0;
+    for (; visited < lq_addr_ready_.size() && slots != 0; ++visited) {
+        const DynInstPtr load = lq_addr_ready_[visited];
+        lq_addr_ready_[kept++] = load; // Until it issues or forwards.
         if (load->dgState == DgState::Verified && load->dgAccessIssued)
             continue; // Data comes from the doppelganger access.
         if (load->issueSleepEpoch == wake_epoch_)
@@ -893,8 +935,9 @@ OooCore::memoryIssueStage()
                 load->forwarded = true;
                 load->fwdFromSeq = store->seq;
                 load->dataAt = cycle_ + 1;
+                scheduleArrival(load, load->dataAt);
+                --kept;
                 ++stlForwards_;
-                --lq_unissued_;
                 progress_ = true;
             } else {
                 // Wait for the store data (a register wakeup); either
@@ -926,9 +969,9 @@ OooCore::memoryIssueStage()
           case AccessStatus::Hit:
           case AccessStatus::Miss:
             load->memIssued = true;
-            --lq_unissued_;
             load->dataAt = outcome.completeAt;
-            load->l1Hit = outcome.l1Hit;
+            scheduleArrival(load, load->dataAt);
+            --kept;
             load->domDeferredTouch = flags.delayReplacementUpdate &&
                                      outcome.status == AccessStatus::Hit;
             --slots;
@@ -948,13 +991,9 @@ OooCore::memoryIssueStage()
             break;
         }
     }
-    // First load seen still pending becomes the new issue barrier
-    // (conservative if it issued just now); none seen and none left
-    // means every current load is past demand issue.
-    if (first_pending != kInvalidSeq)
-        lq_issue_barrier_ = first_pending;
-    else if (lq_unissued_ == 0)
-        lq_issue_barrier_ = next_seq_;
+    lq_addr_ready_.erase(
+        lq_addr_ready_.begin() + static_cast<std::ptrdiff_t>(kept),
+        lq_addr_ready_.begin() + static_cast<std::ptrdiff_t>(visited));
 
     // --- Pass 2: doppelgangers into the remaining slots ------------------
     // Only loads that dispatched with a prediction can ever issue one,
@@ -962,7 +1001,7 @@ OooCore::memoryIssueStage()
     // of the LQ, pruning stale entries as it goes.
     if (!dg_unit_->enabled())
         return;
-    std::size_t kept = 0;
+    kept = 0;
     for (std::size_t i = 0; i < dg_pending_.size(); ++i) {
         const DynInstPtr load = dg_pending_[i];
         if (load->squashed) {
@@ -1008,6 +1047,7 @@ OooCore::memoryIssueStage()
           case AccessStatus::Miss:
             load->dgAccessIssued = true;
             load->dgDataAt = outcome.completeAt;
+            scheduleArrival(load, load->dgDataAt);
             load->dgL1Hit = outcome.status == AccessStatus::Hit;
             load->dgDeferredTouch = flags.delayReplacementUpdate &&
                                     outcome.status == AccessStatus::Hit;
@@ -1093,6 +1133,44 @@ OooCore::startExecution(const DynInstPtr &inst)
     }
 }
 
+void
+OooCore::enterIq(const DynInstPtr &inst)
+{
+    inst->inIq = true;
+    ++iq_count_;
+    // The operands mayIssueNow() checks: a store reads its data
+    // register at commit, not at issue.
+    const auto wait_on = [this, &inst](PhysReg reg) {
+        if (regfile_.ready(reg))
+            return;
+        reg_waiters_[reg].push_back({inst, inst->seq});
+        ++inst->unreadySrcs;
+    };
+    if (inst->usesRs1)
+        wait_on(inst->prs1);
+    if (inst->usesRs2 && !inst->isStore())
+        wait_on(inst->prs2);
+    if (inst->unreadySrcs == 0)
+        iq_ready_.push_back(inst); // Youngest in flight: sorted append.
+}
+
+void
+OooCore::wakeRegister(PhysReg reg)
+{
+    regfile_.setReady(reg);
+    std::vector<Waiter> &waiters = reg_waiters_[reg];
+    for (const Waiter &waiter : waiters) {
+        // A squashed waiter may already have been recycled; its seq
+        // then no longer matches.
+        const DynInstPtr inst = waiter.inst;
+        if (inst->seq != waiter.seq || inst->squashed)
+            continue;
+        if (--inst->unreadySrcs == 0)
+            insertBySeq(iq_ready_, inst);
+    }
+    waiters.clear();
+}
+
 bool
 OooCore::mayIssueNow(const DynInstPtr &inst, unsigned alu_used,
                      unsigned muldiv_used, unsigned agu_used) const
@@ -1150,26 +1228,31 @@ OooCore::issueStage()
     unsigned muldiv_used = 0;
     unsigned agu_used = 0;
 
-    // Single pass: oldest-first select, compacting issued entries out
-    // of the queue in place (iq_ is in program order and squashes
-    // truncate a suffix, so nothing here is ever squashed).
+    // Single pass: oldest-first select over the operand-ready entries,
+    // compacting issued ones out of the list in place. An IQ entry with
+    // an unready operand can never pass mayIssueNow(), and no register
+    // becomes ready during select, so skipping those entries changes
+    // nothing. Squashes truncate a suffix, so nothing here is squashed.
     std::size_t kept = 0;
-    const std::size_t n = iq_.size();
+    const std::size_t n = iq_ready_.size();
     for (std::size_t i = 0; i < n; ++i) {
         if (total >= config_.issueWidth) {
             // Width exhausted: bulk-compact the unexamined tail.
-            std::copy(iq_.begin() + static_cast<std::ptrdiff_t>(i),
-                      iq_.end(), iq_.begin() + static_cast<std::ptrdiff_t>(kept));
+            std::copy(iq_ready_.begin() + static_cast<std::ptrdiff_t>(i),
+                      iq_ready_.end(),
+                      iq_ready_.begin() + static_cast<std::ptrdiff_t>(kept));
             kept += n - i;
             break;
         }
-        const DynInstPtr inst = iq_[i];
+        const DynInstPtr inst = iq_ready_[i];
         DGSIM_ASSERT(!inst->squashed, "squashed instruction in IQ");
         if (!mayIssueNow(inst, alu_used, muldiv_used, agu_used)) {
-            iq_[kept++] = inst;
+            iq_ready_[kept++] = inst;
             continue;
         }
 
+        inst->inIq = false;
+        --iq_count_;
         inst->issued = true;
         inst->issuedAt = cycle_;
         inst->execDoneAt = cycle_ + execLatency(inst->inst.op);
@@ -1194,7 +1277,7 @@ OooCore::issueStage()
             break;
         }
     }
-    iq_.resize(kept);
+    iq_ready_.resize(kept);
     if (total == 0)
         iq_sleep_epoch_ = wake_epoch_;
     else
@@ -1219,7 +1302,7 @@ OooCore::dispatchStage()
         // Structural hazards: stall dispatch in order.
         if (rob_.size() >= config_.robEntries)
             break;
-        if (needs_iq && iq_.size() >= config_.iqEntries)
+        if (needs_iq && iq_count_ >= config_.iqEntries)
             break;
         if (cls == OpClass::MemRead && lq_.size() >= config_.lqEntries)
             break;
@@ -1251,6 +1334,9 @@ OooCore::dispatchStage()
             auto [fresh, previous] = regfile_.rename(slot.inst.rd);
             inst->prd = fresh;
             inst->prevPrd = previous;
+            // A free register's waiters were all squashed with its last
+            // producer; none of them may see this producer's wakeup.
+            reg_waiters_[fresh].clear();
         }
 
         if (cls == OpClass::Branch) {
@@ -1271,13 +1357,11 @@ OooCore::dispatchStage()
 
         rob_.push_back(inst);
         if (needs_iq) {
-            iq_.push_back(inst);
+            enterIq(inst);
             ++wake_epoch_; // New IQ entry: the select pass must look.
         }
         if (cls == OpClass::MemRead) {
             lq_.push_back(inst);
-            ++lq_unissued_;
-            ++lq_incomplete_;
             dg_unit_->attachPrediction(*inst);
             if (inst->dgState == DgState::Predicted) {
                 flight_recorder_.record(FrEvent::DgPredict, cycle_,
@@ -1355,24 +1439,22 @@ OooCore::squashFrom(SeqNum first_bad, Addr redirect_pc, SquashReason why)
     // Rename rollback, shadow and taint cleanup below can all unblock
     // older gated work; wake every sleeper.
     ++wake_epoch_;
-    // IQ/LQ/SQ are in program order, so a squash removes a suffix.
-    // Drop their references before the ROB walk recycles the entries.
-    while (!iq_.empty() && iq_.back()->seq >= first_bad)
-        iq_.pop_back();
-    while (!lq_.empty() && lq_.back()->seq >= first_bad) {
-        const DynInstPtr load = lq_.back();
-        if (!load->completed) {
-            --lq_incomplete_;
-            if (!load->memIssued && !load->forwarded)
-                --lq_unissued_;
-        }
+    // LQ/SQ and the scheduling lists are in program order, so a squash
+    // removes a suffix. Drop their references before the ROB walk
+    // recycles the entries. Stale arrivals and register waiters are
+    // left in place; both are validated by seq when they surface.
+    while (!lq_.empty() && lq_.back()->seq >= first_bad)
         lq_.pop_back();
-    }
     while (!sq_.empty() && sq_.back()->seq >= first_bad)
         sq_.pop_back();
+    truncateFrom(iq_ready_, first_bad);
+    truncateFrom(wb_candidates_, first_bad);
+    truncateFrom(lq_addr_ready_, first_bad);
     while (!rob_.empty() && rob_.back()->seq >= first_bad) {
         const DynInstPtr inst = rob_.back();
         inst->squashed = true;
+        if (inst->inIq)
+            --iq_count_;
         if (inst->traced)
             tracer_->flush(*inst, 0); // Retire tick 0 == squashed.
         // Undo rename youngest-first so RAT state unwinds correctly.
@@ -1425,10 +1507,19 @@ OooCore::dumpPipelineState(std::ostream &os)
        << config_.label() << ") ===\n";
     os << "cycle " << cycle_ << ", committed " << committed_count_
        << ", last commit at cycle " << last_commit_cycle_ << "\n";
+    std::size_t lq_unissued = 0;
+    std::size_t lq_incomplete = 0;
+    for (const DynInstPtr &load : lq_) {
+        if (load->completed)
+            continue;
+        ++lq_incomplete;
+        if (!load->memIssued && !load->forwarded)
+            ++lq_unissued;
+    }
     os << "occupancy: rob " << rob_.size() << "/" << config_.robEntries
-       << ", iq " << iq_.size() << "/" << config_.iqEntries << ", lq "
-       << lq_.size() << "/" << config_.lqEntries << " (" << lq_unissued_
-       << " unissued, " << lq_incomplete_ << " incomplete), sq "
+       << ", iq " << iq_count_ << "/" << config_.iqEntries << ", lq "
+       << lq_.size() << "/" << config_.lqEntries << " (" << lq_unissued
+       << " unissued, " << lq_incomplete << " incomplete), sq "
        << sq_.size() << "/" << config_.sqEntries << ", fetchq "
        << fetch_queue_.size() << "\n";
     os << "speculation: " << shadow_tracker_.size()
@@ -1473,6 +1564,105 @@ OooCore::dumpPipelineState(std::ostream &os)
            << (operandsTainted(*head) ? "yes" : "no") << "\n";
     }
     flight_recorder_.dump(os, 64);
+}
+
+std::string
+OooCore::checkSchedulerInvariants() const
+{
+    const auto in_rob = [this](const DynInstPtr &inst) {
+        const auto it =
+            std::lower_bound(rob_.begin(), rob_.end(), inst->seq, seqBefore);
+        return it != rob_.end() && *it == inst;
+    };
+    const auto check_list = [&in_rob](const std::vector<DynInstPtr> &list,
+                                      const std::string &name) {
+        SeqNum previous = 0;
+        for (const DynInstPtr &inst : list) {
+            if (inst->seq <= previous) {
+                return name + ": not strictly seq-sorted at seq " +
+                       std::to_string(inst->seq);
+            }
+            previous = inst->seq;
+            if (inst->squashed || !in_rob(inst)) {
+                return name + ": holds seq " + std::to_string(inst->seq) +
+                       ", which is squashed or not in the ROB";
+            }
+        }
+        return std::string();
+    };
+    for (const auto &[list, name] :
+         {std::pair{&iq_ready_, "ready list"},
+          std::pair{&wb_candidates_, "writeback candidates"},
+          std::pair{&lq_addr_ready_, "address-ready list"}}) {
+        if (std::string error = check_list(*list, name); !error.empty())
+            return error;
+    }
+
+    // Membership: each list holds exactly the entries its walk must
+    // visit. The lists are duplicate-free (strictly sorted), so
+    // matching sizes plus per-entry checks prove set equality.
+    std::size_t in_iq = 0;
+    std::size_t operands_ready = 0;
+    for (const DynInstPtr &inst : rob_) {
+        if (!inst->inIq)
+            continue;
+        ++in_iq;
+        const bool ready =
+            (!inst->usesRs1 || regfile_.ready(inst->prs1)) &&
+            (!inst->usesRs2 || inst->isStore() ||
+             regfile_.ready(inst->prs2));
+        if (ready != (inst->unreadySrcs == 0)) {
+            return "seq " + std::to_string(inst->seq) +
+                   ": unready-source count disagrees with the regfile";
+        }
+        operands_ready += ready;
+    }
+    if (in_iq != iq_count_) {
+        return "IQ count " + std::to_string(iq_count_) + " but " +
+               std::to_string(in_iq) + " ROB entries are in the IQ";
+    }
+    for (const DynInstPtr &inst : iq_ready_) {
+        if (!inst->inIq || inst->unreadySrcs != 0) {
+            return "ready list holds seq " + std::to_string(inst->seq) +
+                   ", which is not an operand-ready IQ entry";
+        }
+    }
+    if (operands_ready != iq_ready_.size())
+        return "ready list misses an operand-ready IQ entry";
+
+    // Between ticks, writeback has admitted every data time up to now.
+    const auto data_due = [this](const DynInstPtr &load) {
+        return ((load->memIssued || load->forwarded) &&
+                load->dataAt <= cycle_) ||
+               (load->dgAccessIssued && load->dgDataAt <= cycle_);
+    };
+    std::size_t addr_ready = 0;
+    std::size_t due = 0;
+    for (const DynInstPtr &load : lq_) {
+        if (load->completed)
+            continue;
+        addr_ready += load->addrReady && !load->memIssued && !load->forwarded;
+        due += data_due(load);
+    }
+    for (const DynInstPtr &load : lq_addr_ready_) {
+        if (!load->isLoad() || !load->addrReady || load->memIssued ||
+            load->forwarded || load->completed) {
+            return "address-ready list holds seq " +
+                   std::to_string(load->seq) + ", which cannot issue";
+        }
+    }
+    if (addr_ready != lq_addr_ready_.size())
+        return "address-ready list misses a load that can issue";
+    for (const DynInstPtr &load : wb_candidates_) {
+        if (!load->isLoad() || !load->wbCandidate || load->completed ||
+            !data_due(load)) {
+            return "writeback candidates hold seq " +
+                   std::to_string(load->seq) + ", which cannot complete";
+        }
+    }
+    if (due != wb_candidates_.size())
+        return "writeback candidates miss a load whose data time came";
+    return "";
 }
 
 void

@@ -25,6 +25,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -161,6 +162,16 @@ class OooCore
     /** Total pool entries ever slab-allocated (must stay bounded). */
     std::size_t dynInstPoolCapacity() const { return pool_.capacity(); }
 
+    /**
+     * Cross-check the event-driven scheduling lists against the queues
+     * they index (ready list vs. IQ entries and register readiness,
+     * address-ready list vs. the LQ, writeback candidates vs. due data
+     * times, the IQ count vs. inIq). Read-only; meant to be called
+     * between ticks by tests.
+     * @return "" when every invariant holds, else the first violation.
+     */
+    std::string checkSchedulerInvariants() const;
+
   private:
     // --- Pipeline stages (called in tick() order) -------------------------
     void commitStage();
@@ -258,24 +269,40 @@ class OooCore
             pool_.release(inst);
     }
 
-    /** First LQ entry at or past @p barrier (the LQ is seq-sorted). */
-    std::deque<DynInstPtr>::iterator
-    lqScanStart(SeqNum barrier)
-    {
-        return std::lower_bound(lq_.begin(), lq_.end(), barrier,
-                                [](const DynInstPtr &load, SeqNum seq) {
-                                    return load->seq < seq;
-                                });
-    }
+    // --- Event-driven scheduling lists (DESIGN.md §5c) --------------------
+    /** Register @p inst's unready source operands for wakeup; joins
+     * the ready list directly when there are none. */
+    void enterIq(const DynInstPtr &inst);
 
-    std::deque<DynInstPtr>::const_iterator
-    lqScanStart(SeqNum barrier) const
+    /** Mark @p reg ready and move the IQ entries it was the last
+     * unready source of onto the ready list. */
+    void wakeRegister(PhysReg reg);
+
+    /** Queue @p load for writeback at @p at, its data time. */
+    void scheduleArrival(const DynInstPtr &load, Cycle at);
+
+    /** Entry in the load-arrival min-heap. The pool recycles handles,
+     * so @c seq validates @c load when the entry is popped. */
+    struct Arrival
     {
-        return std::lower_bound(lq_.begin(), lq_.end(), barrier,
-                                [](const DynInstPtr &load, SeqNum seq) {
-                                    return load->seq < seq;
-                                });
-    }
+        Cycle at;
+        SeqNum seq;
+        DynInstPtr load;
+
+        /// Heap order for std::push_heap/pop_heap: earliest on top.
+        static bool
+        later(const Arrival &a, const Arrival &b)
+        {
+            return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+        }
+    };
+
+    /** IQ entry waiting on a register, validated by seq at wakeup. */
+    struct Waiter
+    {
+        DynInstPtr inst;
+        SeqNum seq;
+    };
 
     const Program &program_;
     const SimConfig config_;
@@ -304,7 +331,6 @@ class OooCore
     // Pipeline state.
     std::deque<FetchSlot> fetch_queue_;
     std::deque<DynInstPtr> rob_;
-    std::vector<DynInstPtr> iq_;
     std::deque<DynInstPtr> lq_;
     std::deque<DynInstPtr> sq_;
     /// Issued instructions whose functional unit has not finished yet
@@ -317,25 +343,35 @@ class OooCore
     /// this short list instead of the whole LQ). Dispatch order == seq
     /// order; squashed/stale entries are filtered lazily.
     std::vector<DynInstPtr> dg_pending_;
-    /// LQ entries that still need a demand issue (neither issued,
-    /// forwarded nor completed). Lets the memory-issue stage skip its
-    /// LQ scan on the many cycles where every load is already in
-    /// flight or done.
-    std::size_t lq_unissued_ = 0;
-    /// LQ entries whose value has not propagated yet. Completed loads
-    /// linger in the LQ until commit; counting the incomplete ones
-    /// lets every LQ scan stop at the last entry that can still do
-    /// work instead of walking the whole queue.
-    std::size_t lq_incomplete_ = 0;
-    /// Scan barriers: every LQ entry with seq below the barrier is
-    /// known non-actionable (issued/forwarded/completed for the issue
-    /// barrier, completed for the completion barrier), so scans
-    /// binary-search to the barrier instead of walking the committed
-    /// prefix. Both properties are sticky (a load never becomes
-    /// unissued or incomplete again), which keeps the barriers valid
-    /// across squashes and commits.
-    SeqNum lq_issue_barrier_ = 0;
-    SeqNum lq_complete_barrier_ = 0;
+
+    // Event-driven scheduling state (DESIGN.md §5c). iq_ready_,
+    // wb_candidates_ and lq_addr_ready_ are exact (never hold a
+    // squashed, committed or recycled handle) and seq-sorted, so a
+    // squash truncates a suffix of each; checkSchedulerInvariants()
+    // states their contract. reg_waiters_ and arrivals_ keep stale
+    // entries, validated by seq when they surface.
+    /// Instructions in the IQ (DynInst::inIq); the IQ's occupancy.
+    std::size_t iq_count_ = 0;
+    /// IQ entries whose source operands are all ready: the only ones
+    /// the select pass can issue. Entries join when their last unready
+    /// source is woken (or at dispatch) and leave when they issue.
+    std::vector<DynInstPtr> iq_ready_;
+    /// Per physical register: IQ entries waiting for it to become
+    /// ready. Squashed waiters are skipped at wakeup; a register's list
+    /// is cleared when it is renamed again.
+    std::vector<std::vector<Waiter>> reg_waiters_;
+    /// Min-heap on (at, seq) of every load data time known so far:
+    /// demand fills, store-to-load forwards and doppelganger fills.
+    /// Entries for squashed or completed loads go stale in place and
+    /// are dropped when they surface.
+    std::vector<Arrival> arrivals_;
+    /// Loads whose data time has come and that have not completed: the
+    /// writeback walk visits only these.
+    std::vector<DynInstPtr> wb_candidates_;
+    /// Loads whose address is known but that neither issued a demand
+    /// access, forwarded nor completed: the demand-issue pass (pass 1
+    /// of the memory-issue stage) walks only these.
+    std::vector<DynInstPtr> lq_addr_ready_;
     /// Wake epoch: bumped by every event that can turn a previously
     /// blocked issue/propagate/resolve retry into a success (register
     /// becomes ready, shadow released, taint root cleared, squash,
@@ -345,7 +381,7 @@ class OooCore
     /// Starts at 1 so a default-initialised sleep stamp of 0 never
     /// matches.
     std::uint64_t wake_epoch_ = 1;
-    /// Epoch at which a full IQ select pass issued nothing.
+    /// Epoch at which a full select pass over iq_ready_ issued nothing.
     std::uint64_t iq_sleep_epoch_ = 0;
 
     Addr fetch_pc_;

@@ -33,9 +33,9 @@ struct DynInst
     Addr pc = 0;
     Instruction inst;
     OpClass cls = OpClass::No_OpClass;
-    // Operand roles, decoded once at dispatch. The issue wakeup loop
-    // re-checks readiness every cycle for every IQ entry; caching these
-    // keeps the per-opcode switches off that path.
+    // Operand roles, decoded once at dispatch. Wakeup registration and
+    // every select visit read them; caching these keeps the per-opcode
+    // switches off that path.
     bool usesRs1 = false; ///< readsRs1(inst)
     bool usesRs2 = false; ///< readsRs2(inst)
     bool hasDest = false; ///< writesDest(inst)
@@ -48,6 +48,10 @@ struct DynInst
 
     // --- Pipeline status ----------------------------------------------
     bool inIq = false;      ///< Waiting in the issue queue.
+    /// Source operands (as mayIssueNow() reads them) whose register was
+    /// not ready at dispatch and has not been woken since; the entry
+    /// joins the core's ready list when this reaches 0.
+    std::uint8_t unreadySrcs = 0;
     bool issued = false;    ///< Sent to a functional unit.
     bool executed = false;  ///< Result computed (cycle: execDoneAt).
     bool completed = false; ///< Result propagated; eligible to commit.
@@ -69,7 +73,6 @@ struct DynInst
     bool memIssued = false;      ///< Demand access accepted by hierarchy.
     bool dataArrived = false;    ///< Load data available (value readable).
     Cycle dataAt = kInvalidCycle;
-    bool l1Hit = false;          ///< Load was serviced from the L1.
     bool domDelayed = false;     ///< Rejected by DoM; retry when non-spec.
     bool forwarded = false;      ///< Value forwarded from an older store.
     SeqNum fwdFromSeq = kInvalidSeq; ///< Store the value came from.
@@ -122,6 +125,9 @@ struct DynInst
      */
     std::uint64_t issueSleepEpoch = 0;
     std::uint64_t propSleepEpoch = 0;
+    /// Admitted to the writeback candidate list (a data time came due);
+    /// stays there until the load completes or is squashed.
+    bool wbCandidate = false;
 
     // --- Pool bookkeeping -------------------------------------------------
     /**

@@ -99,14 +99,6 @@ Cache::touch(Addr line_addr)
 }
 
 void
-Cache::markDirty(Addr line_addr)
-{
-    CacheLookup result = lookup(line_addr, /*update_lru=*/false);
-    if (result.present)
-        result.line->dirty = true;
-}
-
-void
 Cache::invalidate(Addr line_addr)
 {
     CacheLookup result = lookup(line_addr, /*update_lru=*/false);

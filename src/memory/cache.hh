@@ -92,9 +92,6 @@ class Cache
     /** Refresh the replacement stamp of @p line_addr if present. */
     void touch(Addr line_addr);
 
-    /** Mark the line dirty if present (stores that hit). */
-    void markDirty(Addr line_addr);
-
     /** Drop @p line_addr if present (coherence invalidation). */
     void invalidate(Addr line_addr);
 

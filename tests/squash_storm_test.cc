@@ -12,7 +12,11 @@
  *     filtered side lists), i.e. squash paths release every pooled
  *     instruction and nothing leaks;
  *  2. capacity() stays pinned at the high-water mark, i.e. the steady
- *     state cycle loop performs zero per-instruction heap allocations.
+ *     state cycle loop performs zero per-instruction heap allocations;
+ *  3. the event-driven scheduling lists (IQ ready list, writeback
+ *     candidates, address-ready loads) stay seq-sorted, hold only live
+ *     in-ROB entries and agree with the queues they index, however
+ *     often squashes truncate them.
  *
  * Afterwards the final architectural state must still match the
  * functional oracle — recycled slots must never alias live state.
@@ -78,6 +82,14 @@ stormProgram(std::uint64_t seed)
         .add(5, 5, 1)
         .ld(6, 5);
 
+    // A strided load (one word per iteration) the stride predictor
+    // learns, so doppelgangers issue, verify and propagate in the storm.
+    assembler.slli(11, 20, 3)
+        .andi(11, 11, (kDataWords - 1) * 8)
+        .add(11, 11, 1)
+        .ld(12, 11)
+        .add(3, 3, 12);
+
     // Three data-dependent branches on independent bits of the loaded
     // word. Each arm mixes a different constant into the checksum so a
     // wrong-path commit (a pool aliasing bug) changes the final state.
@@ -142,6 +154,12 @@ TEST(SquashStormTest, PoolBoundedAndStateMatchesOracle)
             high_water = std::max(high_water, core.dynInstPoolLive());
             ASSERT_LE(core.dynInstPoolLive(), bound)
                 << cfg.label() << ": pool leak at cycle " << core.cycle();
+            // A tick that commits HALT returns before writeback, so the
+            // lists are only checked at the boundary of a full tick.
+            if (!core.done()) {
+                ASSERT_EQ(core.checkSchedulerInvariants(), "")
+                    << cfg.label() << " at cycle " << core.cycle();
+            }
         }
 
         // Slabs are allocated in fixed-size chunks, so total capacity

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -69,6 +70,19 @@ readFile(const std::string &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** The file's lines, sorted: a journal's records in a fixed order. The
+ * runner appends in completion order, which threads make arbitrary. */
+std::vector<std::string>
+sortedLines(const std::string &path)
+{
+    std::istringstream in(readFile(path));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
 }
 
 /** Identity-keyed mock (the coordinator_test idiom). */
@@ -466,7 +480,10 @@ TEST_F(Telemetry, ResultsAndJournalsAreByteIdenticalWithTelemetryOn)
     const std::vector<JobOutcome> on = journalRun(onJournal);
 
     EXPECT_EQ(jsonlOf(off), jsonlOf(on));
-    EXPECT_EQ(readFile(offJournal), readFile(onJournal));
+    // Same records byte for byte; only their completion order may vary.
+    const std::vector<std::string> offLines = sortedLines(offJournal);
+    EXPECT_GE(offLines.size(), jobs.size());
+    EXPECT_EQ(offLines, sortedLines(onJournal));
 }
 
 // --- The --report aggregation ------------------------------------------
