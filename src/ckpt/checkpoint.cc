@@ -30,17 +30,11 @@ corrupt(const std::string &origin, const std::string &why)
 void
 writeCache(std::ostream &os, const char *name, const CacheWarmState &cache)
 {
-    std::size_t nonempty = 0;
-    for (const auto &set : cache.sets)
-        nonempty += !set.empty();
-    os << "cache " << name << " " << cache.sets.size() << " " << nonempty
-       << "\n";
-    for (std::size_t set = 0; set < cache.sets.size(); ++set) {
-        const auto &lines = cache.sets[set];
-        if (lines.empty())
-            continue;
-        os << "cs " << set << " " << lines.size();
-        for (const CacheWarmLine &line : lines)
+    os << "cache " << name << " " << cache.numSets << " "
+       << cache.sets.size() << "\n";
+    for (const CacheWarmSet &entry : cache.sets) {
+        os << "cs " << entry.set << " " << entry.lines.size();
+        for (const CacheWarmLine &line : entry.lines)
             os << " " << line.tag << " " << (line.dirty ? 1 : 0);
         os << "\n";
     }
@@ -102,20 +96,21 @@ readCache(Reader &reader, const char *name, const std::string &origin)
     const auto nonempty =
         reader.value<std::uint64_t>(header, "cache nonempty count");
     CacheWarmState cache;
-    cache.sets.resize(num_sets);
+    cache.numSets = num_sets;
     for (std::uint64_t i = 0; i < nonempty; ++i) {
         std::istringstream tokens = reader.line("cs");
         const auto set = reader.value<std::uint64_t>(tokens, "set index");
         if (set >= num_sets)
             corrupt(origin, "cache set index out of range");
         const auto count = reader.value<std::uint64_t>(tokens, "line count");
-        auto &lines = cache.sets[set];
-        lines.reserve(count);
+        CacheWarmSet &entry = cache.sets.emplace_back();
+        entry.set = static_cast<unsigned>(set);
+        entry.lines.reserve(count);
         for (std::uint64_t j = 0; j < count; ++j) {
             CacheWarmLine line;
             line.tag = reader.value<Addr>(tokens, "line tag");
             line.dirty = reader.value<int>(tokens, "dirty flag") != 0;
-            lines.push_back(line);
+            entry.lines.push_back(line);
         }
     }
     return cache;

@@ -1,6 +1,7 @@
 #include "memory/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/hash.hh"
 #include "common/log.hh"
@@ -15,19 +16,49 @@ Cache::Cache(const CacheConfig &config, StatRegistry &stats)
       mshrMerges(stats.counter(config.name + ".mshrMerges")),
       writebacks(stats.counter(config.name + ".writebacks")),
       config_(config),
-      num_sets_(config.numSets())
+      num_sets_(config.numSets()),
+      slot_(num_sets_, 0),
+      filled_((num_sets_ + 63) / 64, 0)
 {
     DGSIM_ASSERT(num_sets_ > 0, "cache must have at least one set");
     DGSIM_ASSERT(config.sizeBytes % (config.assoc * config.lineBytes) == 0,
                  "cache size must be a multiple of assoc * line size");
-    lines_.resize(static_cast<std::size_t>(num_sets_) * config.assoc);
+    // Room for every set up front, so the pool never moves (no copying
+    // as it grows, and CacheLookup::line stays valid across installs).
+    // Reserving writes nothing, so only the blocks that get filled are
+    // ever touched.
+    pool_.reserve((static_cast<std::size_t>(num_sets_) + 1) * config.assoc);
+    pool_.resize(config.assoc);
+}
+
+CacheLine *
+Cache::materialize(unsigned set)
+{
+    const std::size_t slot = pool_.size() / config_.assoc;
+    pool_.resize(pool_.size() + config_.assoc);
+    slot_[set] = static_cast<std::uint32_t>(slot);
+    filled_[set / 64] |= std::uint64_t{1} << (set % 64);
+    return &pool_[slot * config_.assoc];
+}
+
+template <typename Fn>
+void
+Cache::forEachFilledSet(Fn &&fn) const
+{
+    for (std::size_t word = 0; word < filled_.size(); ++word) {
+        for (std::uint64_t bits = filled_[word]; bits != 0;
+             bits &= bits - 1) {
+            const auto set =
+                static_cast<unsigned>(word * 64 + std::countr_zero(bits));
+            fn(set, block(set));
+        }
+    }
 }
 
 CacheLookup
 Cache::lookup(Addr line_addr, bool update_lru)
 {
-    const unsigned set = setIndex(line_addr);
-    CacheLine *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    CacheLine *base = block(setIndex(line_addr));
     for (unsigned way = 0; way < config_.assoc; ++way) {
         CacheLine &line = base[way];
         if (line.valid && line.tag == line_addr) {
@@ -42,9 +73,7 @@ Cache::lookup(Addr line_addr, bool update_lru)
 bool
 Cache::probe(Addr line_addr) const
 {
-    const unsigned set = setIndex(line_addr);
-    const CacheLine *base =
-        &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    const CacheLine *base = block(setIndex(line_addr));
     for (unsigned way = 0; way < config_.assoc; ++way) {
         if (base[way].valid && base[way].tag == line_addr)
             return true;
@@ -56,7 +85,7 @@ Addr
 Cache::install(Addr line_addr, Cycle ready_at, bool dirty)
 {
     const unsigned set = setIndex(line_addr);
-    CacheLine *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    CacheLine *base = slot_[set] != 0 ? block(set) : materialize(set);
 
     // Reuse the matching way if the line is already present (re-fill).
     CacheLine *victim = nullptr;
@@ -112,54 +141,67 @@ CacheWarmState
 Cache::exportWarmState() const
 {
     CacheWarmState state;
-    state.sets.resize(num_sets_);
+    state.numSets = num_sets_;
     std::vector<const CacheLine *> valid;
     valid.reserve(config_.assoc);
-    for (unsigned set = 0; set < num_sets_; ++set) {
-        const CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    forEachFilledSet([&](unsigned set, const CacheLine *base) {
         valid.clear();
         for (unsigned way = 0; way < config_.assoc; ++way) {
             if (base[way].valid)
                 valid.push_back(&base[way]);
         }
+        if (valid.empty())
+            return; // emptied by invalidations: same as never filled
         std::sort(valid.begin(), valid.end(),
                   [](const CacheLine *a, const CacheLine *b) {
                       return a->lruStamp < b->lruStamp;
                   });
-        auto &lines = state.sets[set];
-        lines.reserve(valid.size());
+        CacheWarmSet &out = state.sets.emplace_back();
+        out.set = set;
+        out.lines.reserve(valid.size());
         for (const CacheLine *line : valid)
-            lines.push_back(CacheWarmLine{line->tag, line->dirty});
-    }
+            out.lines.push_back(CacheWarmLine{line->tag, line->dirty});
+    });
     return state;
 }
 
 void
 Cache::restoreWarmState(const CacheWarmState &state)
 {
-    if (state.sets.size() != num_sets_)
+    auto mismatch = [this](const std::string &why) {
         DGSIM_FATAL("checkpoint cache geometry mismatch for '" +
-                    config_.name + "': " +
-                    std::to_string(state.sets.size()) + " sets in the "
-                    "checkpoint vs " + std::to_string(num_sets_) +
-                    " configured");
-    std::fill(lines_.begin(), lines_.end(), CacheLine{});
+                    config_.name + "': " + why);
+    };
+    if (state.numSets != num_sets_)
+        mismatch(std::to_string(state.numSets) + " sets in the "
+                 "checkpoint vs " + std::to_string(num_sets_) +
+                 " configured");
+    // Forget the filled sets only; block 0 stays the shared empty one.
+    forEachFilledSet([this](unsigned set, const CacheLine *) {
+        slot_[set] = 0;
+    });
+    std::fill(filled_.begin(), filled_.end(), 0);
+    pool_.resize(config_.assoc);
     lru_clock_ = 0;
-    for (unsigned set = 0; set < num_sets_; ++set) {
-        const auto &lines = state.sets[set];
-        if (lines.size() > config_.assoc)
-            DGSIM_FATAL("checkpoint cache geometry mismatch for '" +
-                        config_.name + "': set " + std::to_string(set) +
-                        " holds " + std::to_string(lines.size()) +
-                        " lines but associativity is " +
-                        std::to_string(config_.assoc));
-        CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * config_.assoc];
-        for (std::size_t way = 0; way < lines.size(); ++way) {
-            base[way].tag = lines[way].tag;
+    for (const CacheWarmSet &entry : state.sets) {
+        if (entry.set >= num_sets_)
+            mismatch("set " + std::to_string(entry.set) +
+                     " is out of range");
+        if (entry.lines.size() > config_.assoc)
+            mismatch("set " + std::to_string(entry.set) + " holds " +
+                     std::to_string(entry.lines.size()) +
+                     " lines but associativity is " +
+                     std::to_string(config_.assoc));
+        if (slot_[entry.set] != 0)
+            DGSIM_FATAL("checkpoint lists set " + std::to_string(entry.set) +
+                        " of '" + config_.name + "' twice");
+        if (entry.lines.empty())
+            continue;
+        CacheLine *base = materialize(entry.set);
+        for (std::size_t way = 0; way < entry.lines.size(); ++way) {
+            base[way].tag = entry.lines[way].tag;
             base[way].valid = true;
-            base[way].dirty = lines[way].dirty;
+            base[way].dirty = entry.lines[way].dirty;
             base[way].readyAt = 0;
             base[way].lruStamp = ++lru_clock_;
         }
@@ -169,11 +211,13 @@ Cache::restoreWarmState(const CacheWarmState &state)
 void
 Cache::hashState(std::uint64_t &hash) const
 {
-    // FNV-1a over (index, valid, tag, lru-rank). The fill time (readyAt)
-    // is deliberately excluded: the security digest captures the
-    // *persistent* microarchitectural state an attacker can probe after
-    // the transient window (which lines are present and their
-    // replacement order), not transient timing.
+    // FNV-1a over (set, way, tag, lru-rank) of every valid line, then
+    // the valid-line count. The fill time (readyAt) is deliberately
+    // excluded: the security digest captures the *persistent*
+    // microarchitectural state an attacker can probe after the
+    // transient window (which lines are present and their replacement
+    // order), not transient timing. Invalid ways mix nothing, so a set
+    // emptied by invalidations hashes like one that was never filled.
     auto mix = [&hash](std::uint64_t v) { hash = fnvMix(hash, v); };
     // Ranks within a set must be hashed relative to each other, not as
     // raw stamps, so that identical cache contents reached through a
@@ -184,9 +228,8 @@ Cache::hashState(std::uint64_t &hash) const
     // result (ties included).
     std::vector<std::uint64_t> stamps;
     stamps.reserve(config_.assoc);
-    for (unsigned set = 0; set < num_sets_; ++set) {
-        const CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    std::uint64_t valid_lines = 0;
+    forEachFilledSet([&](unsigned set, const CacheLine *base) {
         stamps.clear();
         for (unsigned way = 0; way < config_.assoc; ++way) {
             if (base[way].valid)
@@ -195,21 +238,19 @@ Cache::hashState(std::uint64_t &hash) const
         std::sort(stamps.begin(), stamps.end());
         for (unsigned way = 0; way < config_.assoc; ++way) {
             const CacheLine &line = base[way];
+            if (!line.valid)
+                continue;
             mix(set);
             mix(way);
-            mix(line.valid ? 1 : 0);
-            mix(line.valid ? line.tag : 0);
-            // Rank of this way inside its set by recency.
-            unsigned rank = 0;
-            if (line.valid) {
-                rank = static_cast<unsigned>(
-                    std::lower_bound(stamps.begin(), stamps.end(),
-                                     line.lruStamp) -
-                    stamps.begin());
-            }
-            mix(rank);
+            mix(line.tag);
+            mix(static_cast<std::uint64_t>(
+                std::lower_bound(stamps.begin(), stamps.end(),
+                                 line.lruStamp) -
+                stamps.begin()));
         }
-    }
+        valid_lines += stamps.size();
+    });
+    mix(valid_lines);
 }
 
 } // namespace dgsim

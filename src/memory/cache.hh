@@ -45,17 +45,30 @@ struct CacheWarmLine
     bool dirty = false;
 };
 
+/** One non-empty set of exported warm state. */
+struct CacheWarmSet
+{
+    unsigned set = 0;
+    /** The set's valid lines, LRU-oldest first. */
+    std::vector<CacheWarmLine> lines;
+};
+
 /**
- * Exported warm tag-array state: per set, the valid lines ordered
- * LRU-oldest first. Way positions and absolute LRU stamps are
- * deliberately dropped — replacement decisions and the security digest
- * depend only on the set's tag contents and *relative* recency, so the
- * canonical form makes checkpoints independent of the access count
- * that produced them.
+ * Exported warm tag-array state: the non-empty sets in increasing set
+ * order, each with its valid lines ordered LRU-oldest first. Way
+ * positions and absolute LRU stamps are deliberately dropped —
+ * replacement decisions depend only on the set's tag contents and
+ * *relative* recency, so the canonical form makes checkpoints
+ * independent of the access count that produced them. Restore lays each
+ * set out from way 0 in LRU order; the security digest, which also sees
+ * way positions, survives the round trip when the ways were already in
+ * that order.
  */
 struct CacheWarmState
 {
-    std::vector<std::vector<CacheWarmLine>> sets;
+    /** Set count of the exporting cache (geometry check on restore). */
+    std::uint64_t numSets = 0;
+    std::vector<CacheWarmSet> sets;
 };
 
 /**
@@ -63,6 +76,13 @@ struct CacheWarmState
  *
  * Timing is owned by MemoryHierarchy; this class only tracks presence,
  * replacement state and per-level statistics.
+ *
+ * Storage is sparse: a set gets its own block of `assoc` lines on its
+ * first fill. Until then it maps to a shared block of invalid lines
+ * that is never written, so lookups, probes, touches and invalidations
+ * of a never-filled set miss without allocating, and construction,
+ * digests and warm-state export cost what was filled, not the
+ * configured capacity.
  */
 class Cache
 {
@@ -95,16 +115,26 @@ class Cache
     /** Drop @p line_addr if present (coherence invalidation). */
     void invalidate(Addr line_addr);
 
-    /** Mix the full tag-array contents into @p hash (security digest). */
+    /**
+     * Mix the tag-array contents into @p hash (security digest): one
+     * (set, way, tag, recency rank) tuple per valid line, filled sets
+     * in set order, then the valid-line count. Two caches hash equal
+     * exactly when they hold the same tags in the same ways with the
+     * same relative recency; fill times, dirty bits, absolute LRU
+     * stamps, invalidated lines and which sets were ever filled do not
+     * count. The trailing count keeps levels apart when several caches
+     * mix into one hash.
+     */
     void hashState(std::uint64_t &hash) const;
 
-    /** Export the tag array in canonical (LRU-ordered) form. */
+    /** Export the filled sets in canonical (LRU-ordered) form. */
     CacheWarmState exportWarmState() const;
 
     /**
      * Replace the tag array with @p state: lines are installed in LRU
      * order with fresh stamps and readyAt = 0 (every fill complete —
-     * the handoff invariant). Fatal on geometry mismatch.
+     * the handoff invariant). Fatal on geometry mismatch or on a set
+     * listed twice.
      */
     void restoreWarmState(const CacheWarmState &state);
 
@@ -123,9 +153,32 @@ class Cache
         return static_cast<unsigned>(line_addr % num_sets_);
     }
 
+    /** First line of @p set's block (the shared one if never filled). */
+    CacheLine *block(unsigned set)
+    {
+        return &pool_[static_cast<std::size_t>(slot_[set]) * config_.assoc];
+    }
+    const CacheLine *block(unsigned set) const
+    {
+        return &pool_[static_cast<std::size_t>(slot_[set]) * config_.assoc];
+    }
+
+    /** Append a block for never-filled @p set; returns its first line. */
+    CacheLine *materialize(unsigned set);
+
+    /** Call @p fn(set, block) for every filled set, in set order. */
+    template <typename Fn>
+    void forEachFilledSet(Fn &&fn) const;
+
     const CacheConfig config_;
     unsigned num_sets_;
-    std::vector<CacheLine> lines_; ///< num_sets_ * assoc, set-major.
+    /** Per set: index of its block in pool_, 0 = never filled. */
+    std::vector<std::uint32_t> slot_;
+    /** Block 0 is the shared all-invalid block; then one block per
+     *  filled set, in first-fill order. */
+    std::vector<CacheLine> pool_;
+    /** One bit per set, set when the set has its own block. */
+    std::vector<std::uint64_t> filled_;
     std::uint64_t lru_clock_ = 0;
 };
 

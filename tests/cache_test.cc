@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
+#include "common/hash.hh"
 #include "common/stats.hh"
 #include "memory/cache.hh"
 #include "memory/hierarchy.hh"
@@ -23,6 +24,15 @@ tinyCacheConfig()
 {
     // 4 sets x 2 ways x 64B.
     return CacheConfig{"test", 512, 2, 64, 3, 4};
+}
+
+/** The cache's security digest from the FNV offset basis. */
+std::uint64_t
+hashOf(const Cache &cache)
+{
+    std::uint64_t hash = kFnvOffsetBasis;
+    cache.hashState(hash);
+    return hash;
 }
 
 TEST(CacheTest, MissThenHit)
@@ -107,17 +117,11 @@ TEST(CacheTest, HashIgnoresAccessCountButSeesContent)
     // Extra lookups must not change the digest (same recency order).
     a.lookup(0, true);
     a.lookup(0, true);
-    std::uint64_t ha = 0xcbf29ce484222325ULL;
-    std::uint64_t hb = 0xcbf29ce484222325ULL;
-    a.hashState(ha);
-    b.hashState(hb);
-    EXPECT_EQ(ha, hb);
+    EXPECT_EQ(hashOf(a), hashOf(b));
 
     // Different content must change it.
     b.install(4, 0, false);
-    hb = 0xcbf29ce484222325ULL;
-    b.hashState(hb);
-    EXPECT_NE(ha, hb);
+    EXPECT_NE(hashOf(a), hashOf(b));
 }
 
 TEST(CacheTest, HashSeesRecencyOrder)
@@ -131,11 +135,83 @@ TEST(CacheTest, HashSeesRecencyOrder)
     b.install(4, 0, false);
     // Reverse the recency in b only.
     b.lookup(0, true);
-    std::uint64_t ha = 0xcbf29ce484222325ULL;
-    std::uint64_t hb = 0xcbf29ce484222325ULL;
-    a.hashState(ha);
-    b.hashState(hb);
-    EXPECT_NE(ha, hb) << "replacement order is attacker-visible state";
+    EXPECT_NE(hashOf(a), hashOf(b))
+        << "replacement order is attacker-visible state";
+}
+
+TEST(CacheTest, MissesOnNeverFilledSetsLeaveNoState)
+{
+    StatRegistry stats;
+    Cache cache(tinyCacheConfig(), stats);
+    const std::uint64_t fresh = hashOf(cache);
+    EXPECT_FALSE(cache.lookup(1, true).present);
+    EXPECT_FALSE(cache.probe(2));
+    cache.touch(3);
+    cache.invalidate(5);
+    EXPECT_TRUE(cache.exportWarmState().sets.empty());
+    EXPECT_EQ(hashOf(cache), fresh);
+}
+
+TEST(CacheTest, EmptiedSetHashesLikeNeverFilled)
+{
+    StatRegistry stats;
+    Cache a(tinyCacheConfig(), stats);
+    Cache b(tinyCacheConfig(), stats);
+    // Set 1 of a is filled, then emptied; b never touches it.
+    a.install(1, 0, true);
+    a.install(5, 0, false);
+    a.invalidate(1);
+    a.invalidate(5);
+    a.install(2, 0, false);
+    b.install(2, 0, false);
+    EXPECT_EQ(hashOf(a), hashOf(b));
+    EXPECT_EQ(a.exportWarmState().sets.size(), 1u);
+}
+
+TEST(CacheTest, HashIgnoresFirstFillOrderOfSets)
+{
+    StatRegistry stats;
+    Cache a(tinyCacheConfig(), stats);
+    Cache b(tinyCacheConfig(), stats);
+    // Same lines and per-set recency; the sets are first filled in
+    // opposite orders, so their blocks sit in opposite pool order.
+    for (Addr line : {0, 3, 4, 1})
+        a.install(line, 0, false);
+    for (Addr line : {1, 0, 3, 4})
+        b.install(line, 0, false);
+    EXPECT_EQ(hashOf(a), hashOf(b));
+
+    b.touch(0); // recency of set 0 now differs
+    EXPECT_NE(hashOf(a), hashOf(b));
+}
+
+TEST(CacheTest, WarmStateRoundTripKeepsDigest)
+{
+    StatRegistry stats;
+    Cache source(tinyCacheConfig(), stats);
+    // Lines sit in their sets' ways in LRU order, the layout restore
+    // produces, so the digest survives the round trip exactly.
+    for (Addr line : {0, 4, 1, 7, 3})
+        source.install(line, 0, line == 4);
+    const CacheWarmState state = source.exportWarmState();
+    ASSERT_EQ(state.sets.size(), 3u);
+    EXPECT_EQ(state.sets[0].set, 0u);
+    EXPECT_EQ(state.sets[2].set, 3u);
+
+    Cache fresh(tinyCacheConfig(), stats);
+    fresh.restoreWarmState(state);
+    EXPECT_EQ(hashOf(fresh), hashOf(source));
+
+    // Restoring over a used cache forgets everything it held before.
+    Cache used(tinyCacheConfig(), stats);
+    used.install(2, 0, true);
+    used.install(6, 0, false);
+    used.install(3, 0, false);
+    used.restoreWarmState(state);
+    EXPECT_EQ(hashOf(used), hashOf(source));
+    EXPECT_FALSE(used.probe(2));
+    EXPECT_FALSE(used.probe(6));
+    EXPECT_TRUE(used.probe(7));
 }
 
 // --- MSHR --------------------------------------------------------------
@@ -299,6 +375,27 @@ TEST(HierarchyTest, InvalidateDropsAllLevels)
     EXPECT_FALSE(hierarchy.linePresent(1, 0x4000));
     EXPECT_FALSE(hierarchy.linePresent(2, 0x4000));
     EXPECT_FALSE(hierarchy.linePresent(3, 0x4000));
+}
+
+TEST(HierarchyTest, DigestSeparatesLevels)
+{
+    // The same (set, way, tag, rank) tuple held in the L1 only and in
+    // the L2 only: the per-level valid-line count ending each level's
+    // stream is what tells the two apart.
+    SimConfig config = hierConfig();
+    StatRegistry stats_a, stats_b;
+    MemoryHierarchy in_l1(config, stats_a);
+    MemoryHierarchy in_l2(config, stats_b);
+    HierarchyWarmState l1_only = in_l1.exportWarmState();
+    HierarchyWarmState l2_only = l1_only;
+    const CacheWarmSet line{5, {CacheWarmLine{5, false}}};
+    l1_only.l1.sets.push_back(line);
+    l2_only.l2.sets.push_back(line);
+    in_l1.restoreWarmState(l1_only);
+    in_l2.restoreWarmState(l2_only);
+    ASSERT_TRUE(in_l1.linePresent(1, 5 * 64));
+    ASSERT_TRUE(in_l2.linePresent(2, 5 * 64));
+    EXPECT_NE(in_l1.digest(), in_l2.digest());
 }
 
 /** Property sweep: hit latency is constant across many addresses. */

@@ -188,8 +188,8 @@ TEST(CkptWarming, FastForwardPopulatesWarmStructures)
     const ckpt::Checkpoint checkpoint = engine.makeCheckpoint();
 
     std::size_t warm_lines = 0;
-    for (const auto &set : checkpoint.hierarchy.l1.sets)
-        warm_lines += set.size();
+    for (const CacheWarmSet &set : checkpoint.hierarchy.l1.sets)
+        warm_lines += set.lines.size();
     EXPECT_GT(warm_lines, 16u) << "fast-forward must warm the L1";
 
     std::size_t trained_counters = 0;

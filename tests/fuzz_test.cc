@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "fuzz/dgasm.hh"
 #include "fuzz/fuzz.hh"
 #include "fuzz/minimize.hh"
@@ -152,6 +153,26 @@ TEST(FuzzOracleTest, SecureSchemesCleanOnCandidatePrefix)
                 << "candidate " << key << " leaked under "
                 << verdict.configLabel;
     }
+}
+
+TEST(FuzzOracleTest, VerdictClassesArePinned)
+{
+    // The verdict class of every column, not the digests behind it: the
+    // digest encoding may change, but which (candidate, column) leaks,
+    // is clean or is inconclusive must not.
+    const auto pairs = security::defaultSecretPairs(1);
+    std::uint64_t hash = kFnvOffsetBasis;
+    for (std::uint64_t key = 0; key < 16; ++key) {
+        const auto verdicts = fuzz::evaluateCandidate(
+            fuzz::synthesize(1, key), fuzz::oracleBaseConfig(), pairs);
+        ASSERT_EQ(verdicts.size(), 8u);
+        for (const fuzz::ConfigVerdict &verdict : verdicts) {
+            hash = fnvMix(hash,
+                          static_cast<std::uint64_t>(verdict.check.verdict));
+            hash = fnvMix(hash, verdict.expected);
+        }
+    }
+    EXPECT_EQ(hash, 0x0971039e4d7be3edULL);
 }
 
 // --- Minimizer contract -------------------------------------------------
