@@ -98,7 +98,7 @@ PipeTracer::flush(const DynInst &inst, Cycle retire_cycle)
 }
 
 // ---------------------------------------------------------------------
-// Parser + validator (shared by trace_test and dgrun --validate-trace).
+// Parser + validator (shared by trace_test and dgrun --validate).
 // ---------------------------------------------------------------------
 
 namespace

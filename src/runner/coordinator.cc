@@ -11,13 +11,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/linelog.hh"
 #include "common/log.hh"
 #include "common/signals.hh"
 #include "runner/experiment_runner.hh"
@@ -37,65 +37,26 @@ struct Claim
     unsigned worker = 0;
 };
 
-/**
- * Append-only claims writer. Each claim is one short JSON line written
- * with a single O_APPEND write(2): atomic for writes below PIPE_BUF
- * (claims are ~100 bytes), so concurrent workers never interleave.
- */
-class ClaimsAppender
+/** Append one claim; fatal on failure — a lost claim breaks dedupe. */
+void
+appendClaim(const LineLog &claims, const std::string &key, unsigned shard,
+            unsigned worker)
 {
-  public:
-    explicit ClaimsAppender(const std::string &path)
-        : fd_(::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644))
-    {
-        if (fd_ < 0)
-            DGSIM_FATAL("cannot open claims file '" + path + "': " +
-                        std::strerror(errno));
-    }
+    if (const int err = claims.append(
+            "{\"key\":\"" + jsonEscape(key) + "\",\"shard\":" +
+            std::to_string(shard) + ",\"worker\":" + std::to_string(worker) +
+            "}"))
+        DGSIM_FATAL("claims append failed: " +
+                    std::string(std::strerror(err)));
+}
 
-    ~ClaimsAppender()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    void
-    append(const std::string &key, unsigned shard, unsigned worker)
-    {
-        const std::string line = "{\"key\":\"" + jsonEscape(key) +
-                                 "\",\"shard\":" + std::to_string(shard) +
-                                 ",\"worker\":" + std::to_string(worker) +
-                                 "}\n";
-        ssize_t written = 0;
-        while (written < static_cast<ssize_t>(line.size())) {
-            const ssize_t n = ::write(fd_, line.data() + written,
-                                      line.size() - written);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                DGSIM_FATAL("claims append failed: " +
-                            std::string(std::strerror(errno)));
-            }
-            written += n;
-        }
-    }
-
-  private:
-    int fd_;
-};
-
-/** Parse the claims file; tolerates a truncated final line. */
+/** Parse the claims log; a malformed line is skipped — claims are
+ * advisory, and at worst a job runs twice. */
 std::vector<Claim>
 loadClaims(const std::string &path)
 {
-    std::ifstream in(path);
     std::vector<Claim> claims;
-    if (!in)
-        return claims;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
+    for (const std::string &line : readLogLines(path)) {
         try {
             const JsonValue record = JsonParser(line).parse();
             Claim claim;
@@ -106,7 +67,6 @@ loadClaims(const std::string &path)
                 std::stoul(jsonMember(record, "worker").number));
             claims.push_back(std::move(claim));
         } catch (const JsonParseError &) {
-            // A claim cut short by a kill: ignore — claims are advisory.
             continue;
         }
     }
@@ -141,6 +101,8 @@ struct WorkerContext
     unsigned worker = 0;
     unsigned workers = 1;
     const CoordinatorOptions *options = nullptr;
+    /** This pass's claims log, opened by the parent before the fork. */
+    const LineLog *claims = nullptr;
 
     std::vector<Job> jobs;           ///< Full expansion, original indices.
     std::vector<std::string> keys;   ///< keys[i] = jobKey(jobs[i]).
@@ -169,8 +131,8 @@ workerRunnerOptions(const WorkerContext &ctx)
  */
 void
 runClaimedJob(const WorkerContext &ctx, std::size_t i,
-              ClaimsAppender &claims, JournalWriter &journal,
-              const RunnerOptions &ropts, std::size_t &completed)
+              JournalWriter &journal, const RunnerOptions &ropts,
+              std::size_t &completed)
 {
     // A "steal" span wraps jobs this worker takes from another shard;
     // the nested "job" span (emitted by the runner) carries the timing.
@@ -181,7 +143,7 @@ runClaimedJob(const WorkerContext &ctx, std::size_t i,
         steal.arg("shard", std::uint64_t{ctx.shards[i]});
     }
 
-    claims.append(ctx.keys[i], ctx.shards[i], ctx.worker);
+    appendClaim(*ctx.claims, ctx.keys[i], ctx.shards[i], ctx.worker);
 
     // Death injection lands after the claim and before the journal
     // record — the worst possible moment, exactly what a real SIGKILL
@@ -235,7 +197,6 @@ workerMain(WorkerContext ctx)
 
     const std::vector<std::string> journalPaths =
         allWorkerJournals(ctx.manifestPath, ctx.workers);
-    ClaimsAppender claims(claimsPath(ctx.manifestPath));
     JournalWriter journal(workerJournalPath(ctx.manifestPath, ctx.worker),
                           /*host_metrics=*/true, ctx.options->journalSync);
     const RunnerOptions ropts = workerRunnerOptions(ctx);
@@ -264,7 +225,7 @@ workerMain(WorkerContext ctx)
             }
         if (claimedElsewhere)
             continue;
-        runClaimedJob(ctx, i, claims, journal, ropts, completed);
+        runClaimedJob(ctx, i, journal, ropts, completed);
     }
 
     // Phase 2: steal. Refresh the global picture, find the slowest
@@ -292,7 +253,7 @@ workerMain(WorkerContext ctx)
         for (auto it = outstanding.begin(); it != outstanding.end(); ++it)
             if (it->second.size() > slowest->second.size())
                 slowest = it;
-        runClaimedJob(ctx, slowest->second.front(), claims, journal, ropts,
+        runClaimedJob(ctx, slowest->second.front(), journal, ropts,
                       completed);
     }
     return 0;
@@ -349,8 +310,12 @@ runCampaign(const std::string &manifestPath,
         passSpan.arg("pass", std::uint64_t{pass});
 
         // Rotate the claims file: claims only dedupe within one pass.
-        // (A dead worker's stale claims must not block its jobs.)
+        // (A dead worker's stale claims must not block its jobs.) The
+        // log is opened here, while no worker is alive to append to
+        // it, and every worker forked below inherits the descriptor.
         ::unlink(claims.c_str());
+        const LineLog claimsLog(claims);
+        ctx.claims = &claimsLog;
 
         if (options.progress)
             std::fprintf(stderr,

@@ -11,9 +11,9 @@
  *
  *  - per-worker completion journals (the PR 4 format, one per worker
  *    process, merged by job identity afterwards), and
- *  - a shared claims file, one JSON line per execution attempt,
- *    appended with a single O_APPEND write(2) so concurrent claims
- *    never interleave.
+ *  - a shared claims file, one JSON line per execution attempt: a
+ *    LineLog (common/linelog.hh) the parent opens once per pass and
+ *    every worker inherits, so concurrent claims never interleave.
  *
  * Claims are advisory, not locks: a claim races with another worker's
  * claim at worst into a duplicate execution, which the identity-keyed

@@ -1,9 +1,5 @@
 #include "runner/journal.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -68,26 +64,8 @@ jobKey(const Job &job)
 
 JournalWriter::JournalWriter(const std::string &path, bool host_metrics,
                              bool sync)
-    : path_(path), host_metrics_(host_metrics),
-      out_(path, std::ios::app)
+    : log_(path), host_metrics_(host_metrics), sync_(sync)
 {
-    if (!out_)
-        DGSIM_FATAL("cannot open journal '" + path + "' for appending");
-    if (sync) {
-        // fsync needs a file descriptor; std::ofstream hides its own,
-        // so open a second, write-free handle on the same file —
-        // fsync(2) synchronizes the file, not a descriptor's writes.
-        syncFd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
-        if (syncFd_ < 0)
-            DGSIM_FATAL("cannot open journal '" + path + "' for fsync: " +
-                        std::strerror(errno));
-    }
-}
-
-JournalWriter::~JournalWriter()
-{
-    if (syncFd_ >= 0)
-        ::close(syncFd_);
 }
 
 void
@@ -97,46 +75,28 @@ JournalWriter::record(const std::string &key, const JobOutcome &outcome)
     // outcomeFromJson() ignores them on the way back in.
     std::string line = "{\"key\":\"" + jsonEscape(key) + "\",\"attempts\":" +
                        std::to_string(outcome.attempts) + "," +
-                       toJsonLine(outcome, host_metrics_).substr(1) + "\n";
+                       toJsonLine(outcome, host_metrics_).substr(1);
     std::lock_guard<std::mutex> lock(mutex_);
-    out_ << line;
-    // Flush per record: crash tolerance is the whole point. Sweeps are
-    // simulation-bound (seconds per job), so the write is noise.
-    out_.flush();
+    // One write(2) per record: crash tolerance is the whole point.
+    // Sweeps are simulation-bound (seconds per job), so it is noise.
+    if (const int err = log_.append(std::move(line)))
+        DGSIM_FATAL("journal '" + path() + "' append failed: " +
+                    std::strerror(err));
     // Opt-in durability against power loss, not just process death.
-    if (syncFd_ >= 0 && ::fsync(syncFd_) != 0)
-        DGSIM_WARN("fsync of journal '" + path_ + "' failed: " +
-                   std::strerror(errno));
+    if (sync_)
+        if (const int err = log_.sync())
+            DGSIM_WARN("fsync of journal '" + path() + "' failed: " +
+                       std::strerror(err));
 }
 
 JournalMap
 loadJournal(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        return {};
-
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line))
-        if (!line.empty())
-            lines.push_back(line);
-
+    const std::vector<std::string> lines = readLogLines(path);
     JournalMap map;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        JsonValue record;
         try {
-            record = JsonParser(lines[i]).parse();
-        } catch (const JsonParseError &e) {
-            if (i + 1 == lines.size()) {
-                DGSIM_WARN("journal '" + path + "': dropping truncated "
-                           "final record (" + e.what() + ")");
-                break;
-            }
-            DGSIM_FATAL("journal '" + path + "' line " +
-                        std::to_string(i + 1) + " is corrupt: " + e.what());
-        }
-        try {
+            const JsonValue record = JsonParser(lines[i]).parse();
             const std::string key = jsonMember(record, "key").str;
             JobOutcome outcome = outcomeFromJson(record);
             outcome.attempts = static_cast<unsigned>(
@@ -144,7 +104,7 @@ loadJournal(const std::string &path)
             map[key] = std::move(outcome); // Last record wins.
         } catch (const JsonParseError &e) {
             DGSIM_FATAL("journal '" + path + "' line " +
-                        std::to_string(i + 1) + ": " + e.what());
+                        std::to_string(i + 1) + " is corrupt: " + e.what());
         }
     }
     return map;

@@ -4,7 +4,8 @@
  * experiment runner.
  *
  * As each job reaches a final outcome (success, deterministic error or
- * exhausted retries) one JSONL record is appended and flushed, in
+ * exhausted retries) one JSONL record is appended to a LineLog
+ * (common/linelog.hh, which owns the crash-recovery rule), in
  * *completion* order — a kill loses at most the line being written.
  * Each record is the exact toJsonLine() serialization of the outcome
  * prefixed with two wrapper fields:
@@ -26,11 +27,11 @@
 #ifndef DGSIM_RUNNER_JOURNAL_HH
 #define DGSIM_RUNNER_JOURNAL_HH
 
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
 
+#include "common/linelog.hh"
 #include "runner/sweep.hh"
 
 namespace dgsim::runner
@@ -47,42 +48,41 @@ using JournalMap = std::map<std::string, JobOutcome>;
  */
 std::string jobKey(const Job &job);
 
-/** Thread-safe append-only journal writer (one flushed line per job). */
+/** Thread-safe append-only journal writer: one LineLog record per job. */
 class JournalWriter
 {
   public:
     /**
-     * Open @p path for appending; fatal when unwritable. Journal lines
-     * carry host metrics iff @p host_metrics — they are restored on
-     * resume for reporting, and never byte-compared across runs. With
-     * @p sync every record is additionally fsync'd: a flushed-but-
-     * unsynced record survives a process kill but not a power loss,
-     * and long campaigns may want the stronger guarantee.
+     * Open @p path as a LineLog (fatal when unwritable; a torn tail
+     * left by a killed writer is cut off). Journal lines carry host
+     * metrics iff @p host_metrics — they are restored on resume for
+     * reporting, and never byte-compared across runs. With @p sync
+     * every record is additionally fsync'd: a written-but-unsynced
+     * record survives a process kill but not a power loss, and long
+     * campaigns may want the stronger guarantee.
      */
     JournalWriter(const std::string &path, bool host_metrics = true,
                   bool sync = false);
 
-    ~JournalWriter();
-
-    /** Append one completed outcome under @p key (thread-safe). */
+    /** Append one completed outcome under @p key (thread-safe); a
+     * failed append is fatal. */
     void record(const std::string &key, const JobOutcome &outcome);
 
-    const std::string &path() const { return path_; }
+    const std::string &path() const { return log_.path(); }
 
   private:
-    std::string path_;
+    LineLog log_;
     bool host_metrics_;
+    bool sync_;
     std::mutex mutex_;
-    std::ofstream out_;
-    int syncFd_ = -1; ///< Secondary fd for fsync; -1 when sync is off.
 };
 
 /**
- * Load a journal written by JournalWriter. A malformed *final* line is
- * dropped with a warning (the expected artifact of a killed process);
- * a malformed interior line is fatal — that is corruption, not a
- * crash. A missing file yields an empty map (the sweep died before
- * completing anything). Duplicate keys keep the last record.
+ * Load a journal written by JournalWriter. The torn final line a
+ * killed writer leaves is dropped (readLogLines); any malformed
+ * complete line is fatal — that is corruption, not a crash. A missing
+ * file yields an empty map (the sweep died before completing
+ * anything). Duplicate keys keep the last record.
  */
 JournalMap loadJournal(const std::string &path);
 

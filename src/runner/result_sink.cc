@@ -17,8 +17,8 @@ namespace
 
 /**
  * The scalar SimResult fields, in serialization order. One table drives
- * the JSONL writer/reader and the CSV writer/reader so the four can
- * never drift apart.
+ * the JSONL writer/reader and the CSV writer so the three can never
+ * drift apart.
  */
 struct Field
 {
@@ -153,63 +153,6 @@ csvEscape(const std::string &raw)
     }
     out += '"';
     return out;
-}
-
-/** Parse an RFC-4180-ish stream into records (quotes may span lines). */
-std::vector<std::vector<std::string>>
-parseCsvRecords(std::istream &is)
-{
-    std::vector<std::vector<std::string>> records;
-    std::vector<std::string> record;
-    std::string field;
-    bool quoted = false;
-    bool fieldStarted = false;
-    char c;
-    while (is.get(c)) {
-        if (quoted) {
-            if (c == '"') {
-                if (is.peek() == '"') {
-                    is.get(c);
-                    field += '"';
-                } else {
-                    quoted = false;
-                }
-            } else {
-                field += c;
-            }
-            continue;
-        }
-        switch (c) {
-          case '"':
-            quoted = true;
-            fieldStarted = true;
-            break;
-          case ',':
-            record.push_back(std::move(field));
-            field.clear();
-            fieldStarted = true; // A delimiter implies a following field.
-            break;
-          case '\r':
-            break;
-          case '\n':
-            if (fieldStarted || !field.empty() || !record.empty()) {
-                record.push_back(std::move(field));
-                field.clear();
-                records.push_back(std::move(record));
-                record.clear();
-                fieldStarted = false;
-            }
-            break;
-          default:
-            field += c;
-            fieldStarted = true;
-        }
-    }
-    if (fieldStarted || !field.empty() || !record.empty()) {
-        record.push_back(std::move(field));
-        records.push_back(std::move(record));
-    }
-    return records;
 }
 
 constexpr const char *kCounterPrefix = "counter:";
@@ -378,56 +321,6 @@ readJsonl(std::istream &is)
             DGSIM_FATAL("JSONL line " + std::to_string(lineno) + ": " +
                         e.what());
         }
-    }
-    return outcomes;
-}
-
-std::vector<JobOutcome>
-readCsv(std::istream &is)
-{
-    const auto records = parseCsvRecords(is);
-    if (records.empty())
-        return {};
-
-    const std::vector<std::string> &header = records.front();
-    auto column = [&](const std::string &name) -> std::size_t {
-        for (std::size_t i = 0; i < header.size(); ++i)
-            if (header[i] == name)
-                return i;
-        DGSIM_FATAL("CSV header missing column '" + name + "'");
-    };
-
-    std::vector<JobOutcome> outcomes;
-    for (std::size_t r = 1; r < records.size(); ++r) {
-        const std::vector<std::string> &row = records[r];
-        if (row.size() != header.size())
-            DGSIM_FATAL("CSV row " + std::to_string(r) + " has " +
-                        std::to_string(row.size()) + " fields, header has " +
-                        std::to_string(header.size()));
-        JobOutcome outcome;
-        outcome.index = stringToU64(row[column("index")], "index");
-        outcome.workload = row[column("workload")];
-        outcome.suite = row[column("suite")];
-        outcome.configLabel = row[column("config")];
-        outcome.ok = row[column("ok")] == "true";
-        outcome.error = row[column("error")];
-        for (const Field &field : kFields) {
-            const std::string &raw = row[column(field.name)];
-            if (field.u64)
-                outcome.result.*field.u64 = stringToU64(raw, field.name);
-            else
-                outcome.result.*field.dbl = stringToDouble(raw, field.name);
-        }
-        for (std::size_t i = 0; i < header.size(); ++i) {
-            if (header[i].rfind(kCounterPrefix, 0) != 0 || row[i].empty())
-                continue;
-            const std::string name =
-                header[i].substr(std::string(kCounterPrefix).size());
-            outcome.result.counters[name] = stringToU64(row[i], name.c_str());
-        }
-        outcome.result.workload = outcome.workload;
-        outcome.result.configLabel = outcome.configLabel;
-        outcomes.push_back(std::move(outcome));
     }
     return outcomes;
 }

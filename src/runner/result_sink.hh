@@ -4,9 +4,8 @@
  *
  * Sinks receive outcomes in deterministic job-index order, so the files
  * they produce are byte-identical regardless of the thread count that
- * executed the sweep. Matching readers are provided so downstream
- * tooling (and the round-trip tests) can load sink output back into
- * JobOutcome records without an external parser dependency.
+ * executed the sweep. JSONL lines read back through outcomeFromJson()
+ * (journals, --merge); CSV is write-only output.
  */
 
 #ifndef DGSIM_RUNNER_RESULT_SINK_HH
@@ -91,9 +90,6 @@ JobOutcome outcomeFromJson(const JsonValue &record);
 
 /** Parse everything a JsonlSink wrote. Fatal on malformed input. */
 std::vector<JobOutcome> readJsonl(std::istream &is);
-
-/** Parse everything a CsvSink wrote. Fatal on malformed input. */
-std::vector<JobOutcome> readCsv(std::istream &is);
 
 } // namespace dgsim::runner
 

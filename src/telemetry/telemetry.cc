@@ -1,6 +1,5 @@
 #include "telemetry/telemetry.hh"
 
-#include <fcntl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -9,10 +8,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/linelog.hh"
 #include "common/log.hh"
 #include "runner/json.hh"
 #include "telemetry/metrics.hh"
@@ -26,7 +27,7 @@ namespace detail
 /**
  * The whole enabled-telemetry world. Forked workers inherit a copy:
  * the epoch stays shared (so timestamps align across processes) while
- * reopenForWorker() swaps the process-local pieces (event fd, pid,
+ * reopenForWorker() swaps the process-local pieces (event log, pid,
  * registry). The snapshot thread exists only in the process that
  * called enable(); fork does not duplicate threads.
  */
@@ -35,7 +36,8 @@ struct TelemetryState
     TelemetryConfig config;
     std::chrono::steady_clock::time_point epoch;
 
-    int eventFd = -1;
+    /** This process's event part file; null when tracing is off. */
+    std::unique_ptr<LineLog> events;
     int pid = 0;
     unsigned workers = 0;
     bool finalized = false;
@@ -77,37 +79,14 @@ workerEventPath(const TelemetryConfig &config, unsigned worker)
     return config.tracePath + ".w" + std::to_string(worker) + ".events";
 }
 
-/** One whole line, one write(2): the claims-appender idiom. Events
- * are ~150 bytes, far below PIPE_BUF, so concurrent processes never
- * interleave and a kill loses at most the line being written. */
+/** One event, one LineLog record. Tracing is best-effort: a failed
+ * write warns once and never stops the run. */
 void
-writeLine(int fd, const std::string &line)
+writeEvent(const LineLog &events, std::string line)
 {
-    ssize_t written = 0;
-    while (written < static_cast<ssize_t>(line.size())) {
-        const ssize_t n =
-            ::write(fd, line.data() + written, line.size() - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            DGSIM_WARN_ONCE("telemetry event write failed: " +
-                            std::string(std::strerror(errno)));
-            return;
-        }
-        written += n;
-    }
-}
-
-int
-openEventFile(const std::string &path, bool truncate)
-{
-    const int flags =
-        O_WRONLY | O_APPEND | O_CREAT | (truncate ? O_TRUNC : 0);
-    const int fd = ::open(path.c_str(), flags, 0644);
-    if (fd < 0)
-        DGSIM_FATAL("cannot open telemetry event file '" + path + "': " +
-                    std::strerror(errno));
-    return fd;
+    if (const int err = events.append(std::move(line)))
+        DGSIM_WARN_ONCE("telemetry event write failed: " +
+                        std::string(std::strerror(err)));
 }
 
 /** Peak RSS in bytes: ru_maxrss is KiB on Linux. */
@@ -157,7 +136,7 @@ emitSpan(TelemetryState &state, const char *name, const char *cat,
          std::uint64_t start_us, std::uint64_t end_us,
          const std::string &args)
 {
-    if (state.eventFd < 0 || state.config.tracePath.empty())
+    if (!state.events)
         return;
     std::string line;
     line.reserve(160 + args.size());
@@ -170,8 +149,8 @@ emitSpan(TelemetryState &state, const char *name, const char *cat,
             std::to_string(end_us >= start_us ? end_us - start_us : 0) +
             ",\"pid\":" + std::to_string(state.pid) +
             ",\"tid\":" + std::to_string(threadTid()) + ",\"args\":{" +
-            args + "}}\n";
-    writeLine(state.eventFd, line);
+            args + "}}";
+    writeEvent(*state.events, std::move(line));
 }
 
 } // namespace detail
@@ -188,9 +167,12 @@ enable(const TelemetryConfig &config)
     state->epoch = std::chrono::steady_clock::now();
     state->pid = static_cast<int>(::getpid());
     state->registry = new MetricsRegistry;
-    if (!config.tracePath.empty())
-        state->eventFd = detail::openEventFile(
-            detail::mainEventPath(config), /*truncate=*/true);
+    if (!config.tracePath.empty()) {
+        // A fresh trace: no earlier run's events, and no torn tail.
+        const std::string path = detail::mainEventPath(config);
+        ::unlink(path.c_str());
+        state->events = std::make_unique<LineLog>(path);
+    }
     detail::g_state.store(state, std::memory_order_release);
     emitProcessName("dgrun");
 
@@ -226,8 +208,6 @@ shutdown()
         state->snapshotThread.join();
     }
     detail::writeSnapshot(*state);
-    if (state->eventFd >= 0)
-        ::close(state->eventFd);
     delete state->registry;
     delete state;
 }
@@ -240,12 +220,14 @@ reopenForWorker(unsigned worker)
     if (!state)
         return;
     state->pid = static_cast<int>(::getpid());
-    if (state->eventFd >= 0)
-        ::close(state->eventFd);
+    // Closes only this process's copy of the inherited descriptor. The
+    // worker's own part file persists across recovery passes; the
+    // previous pass's incarnation is dead, so no other process
+    // appends to it.
+    state->events.reset();
     if (!state->config.tracePath.empty())
-        state->eventFd = detail::openEventFile(
-            detail::workerEventPath(state->config, worker),
-            /*truncate=*/false);
+        state->events = std::make_unique<LineLog>(
+            detail::workerEventPath(state->config, worker));
     // The inherited registry's mutex may have been held by a parent
     // thread at fork time; locking it here could deadlock forever.
     // Replace it wholesale and deliberately leak the old object (a few
@@ -301,14 +283,14 @@ emitProcessName(const std::string &name)
 {
     TelemetryState *state =
         detail::g_state.load(std::memory_order_acquire);
-    if (!state || state->eventFd < 0)
+    if (!state || !state->events)
         return;
-    const std::string line =
+    std::string line =
         "{\"name\":\"process_name\",\"cat\":\"__metadata\",\"ph\":\"M\","
         "\"ts\":0,\"dur\":0,\"pid\":" +
         std::to_string(state->pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-        runner::jsonEscape(name) + "\"}}\n";
-    detail::writeLine(state->eventFd, line);
+        runner::jsonEscape(name) + "\"}}";
+    detail::writeEvent(*state->events, std::move(line));
 }
 
 void

@@ -12,9 +12,9 @@
  * Spans form the hierarchy campaign → worker → job → phase
  * (expand / ffwd-warm / detailed-window / retry-backoff /
  * journal-append / steal / recovery). Each closed span becomes one
- * Chrome trace-event "X" line appended to a per-process event file
- * with a single O_APPEND write(2) — the claims-file idiom — so spans
- * survive worker _exit and concurrent writers never interleave.
+ * Chrome trace-event "X" line appended to a per-process event part
+ * file, a LineLog (common/linelog.hh), so spans survive worker _exit
+ * and concurrent writers never interleave.
  * finalizeTrace() merges the per-process files into one strict-JSON
  * trace-event document Perfetto loads directly, exactly like worker
  * journals merge into one result set.
@@ -60,8 +60,8 @@ enabled()
 }
 
 /**
- * Turn telemetry on for this process. Truncates this process's event
- * part file; captures the monotonic epoch all timestamps (including
+ * Turn telemetry on for this process. Starts this process's event
+ * part file afresh (unlinks, then opens it); captures the monotonic epoch all timestamps (including
  * forked workers', which inherit it) are measured from; starts the
  * metrics snapshot thread when the config asks for one. Fatal when
  * already enabled — nesting would corrupt the epoch.
@@ -76,7 +76,7 @@ void shutdown();
 
 /**
  * Post-fork worker setup: redirect span output to the worker's own
- * O_APPEND event part file (appends across recovery passes), refresh
+ * event part file (appends across recovery passes), refresh
  * the cached pid, replace the metrics registry wholesale (the
  * inherited one's mutex may have been mid-lock at fork), and emit the
  * Perfetto process-name metadata for this worker's track. No-op when

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/linelog.hh"
 #include "common/log.hh"
 #include "runner/json.hh"
 
@@ -105,31 +106,13 @@ eventToJsonLine(const TraceEvent &event)
 std::vector<TraceEvent>
 loadTraceEvents(const std::string &path)
 {
-    std::ifstream in(path);
+    const std::vector<std::string> lines = readLogLines(path);
     std::vector<TraceEvent> events;
-    if (!in)
-        return events;
-
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line))
-        if (!line.empty())
-            lines.push_back(line);
-
+    events.reserve(lines.size());
     for (std::size_t i = 0; i < lines.size(); ++i) {
         try {
-            events.push_back(
-                eventFromJson(JsonParser(lines[i]).parse()));
+            events.push_back(eventFromJson(JsonParser(lines[i]).parse()));
         } catch (const JsonParseError &e) {
-            // Same contract as the journal loader: the final line of a
-            // killed worker's file is expected to be cut short; an
-            // interior bad line is corruption.
-            if (i + 1 == lines.size()) {
-                DGSIM_WARN("telemetry events '" + path +
-                           "': dropping truncated final event (" +
-                           e.what() + ")");
-                break;
-            }
             DGSIM_FATAL("telemetry events '" + path + "' line " +
                         std::to_string(i + 1) + " is corrupt: " + e.what());
         }

@@ -1,10 +1,9 @@
 /**
  * @file
- * Chrome trace-event files: the JSONL part-file loader (tolerant of a
- * killed worker's truncated final line, like the journal loader), the
- * merger that folds per-process part files into one strict-JSON
- * trace-event document, and the strict loader + validator the tests
- * and `dgrun --report`/`--validate-telemetry` use.
+ * Chrome trace-event files: the JSONL part-file loader (a LineLog
+ * reader, like the journal loader), the merger that folds per-process
+ * part files into one strict-JSON trace-event document, and the strict
+ * loader + validator the tests and `dgrun --report`/`--validate` use.
  */
 
 #ifndef DGSIM_TELEMETRY_TRACE_HH
@@ -34,11 +33,11 @@ struct TraceEvent
 };
 
 /**
- * Load one JSONL event part file. A malformed *final* line is dropped
- * with a warning — the expected artifact of a worker killed mid-span
- * emission; a malformed interior line is fatal (corruption, not a
- * crash). A missing file yields an empty vector: a worker that died
- * before its first span, or a pass that never forked it.
+ * Load one JSONL event part file. The torn final line of a worker
+ * killed mid-emission is dropped (readLogLines); any malformed
+ * complete line is fatal (corruption, not a crash). A missing file
+ * yields an empty vector: a worker that died before its first span,
+ * or a pass that never forked it.
  */
 std::vector<TraceEvent> loadTraceEvents(const std::string &path);
 

@@ -148,9 +148,9 @@ fleet telemetry (host-side only; results stay byte-identical):
                       p99 job wall-time per workload and per config,
                       retry storms, steal imbalance, worker coverage and
                       the recovery-pass timeline
-  --validate-telemetry FILE
-                      strict-parse and structurally validate a merged
-                      trace-event file, then exit
+  --validate FILE     structurally validate a merged telemetry trace
+                      (a JSON document) or an O3PipeView pipeline trace,
+                      picked by the file's first byte, then exit
   --no-skip           disable event-driven idle-cycle skipping and tick
                       every cycle. Results are byte-identical either way
                       (enforced by golden_stats_test); this exists for
@@ -181,7 +181,6 @@ observability:
                       sweep must select exactly one workload x config.
   --trace-start N     start tracing after N committed instructions
   --trace-insts N     trace at most N instructions (0 = no limit)
-  --validate-trace F  parse + validate an O3PipeView trace file and exit
   --watchdog N        commit-watchdog threshold in cycles; 0 disables
                       (default 100000)
   --wedge             debug: run under a never-resolving policy so the
@@ -308,13 +307,12 @@ struct Options
     double metricsPeriodSec = 5.0;
     bool report = false;
     std::vector<std::string> reportPaths;
-    std::string validateTelemetryPath;
+    std::string validatePath;
 
     // Observability.
     std::string tracePath;
     std::uint64_t traceStart = 0;
     std::uint64_t traceInsts = 0;
-    std::string validateTracePath;
     std::uint64_t watchdogCycles = 100'000;
     bool wedge = false;
     bool dists = false;
@@ -487,9 +485,8 @@ parseArgs(int argc, char **argv)
                 options.reportPaths.push_back(argv[++i]);
             if (options.reportPaths.empty())
                 usageError("--report needs at least one journal file");
-        } else if (arg == "--validate-telemetry") {
-            options.validateTelemetryPath =
-                next(i, "--validate-telemetry");
+        } else if (arg == "--validate") {
+            options.validatePath = next(i, "--validate");
         } else if (arg == "--no-skip") {
             options.idleSkip = false;
         } else if (arg == "--quiet") {
@@ -502,8 +499,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--trace-insts") {
             options.traceInsts =
                 parseCountOrZero(next(i, "--trace-insts"), "--trace-insts");
-        } else if (arg == "--validate-trace") {
-            options.validateTracePath = next(i, "--validate-trace");
         } else if (arg == "--watchdog") {
             options.watchdogCycles =
                 parseCountOrZero(next(i, "--watchdog"), "--watchdog");
@@ -687,42 +682,67 @@ printSummaryTable(const std::vector<JobOutcome> &outcomes)
     return exitCode;
 }
 
-/** Write the requested --jsonl/--csv files for @p outcomes. */
+/**
+ * The --jsonl/--csv files, opened before any mode runs so a bad path
+ * fails fast instead of discarding minutes of simulation.
+ */
+struct SinkFiles
+{
+    std::ofstream jsonl;
+    std::ofstream csv;
+};
+
+/** Open @p path into @p file, unless its flag was not given. */
+void
+openSinkFile(std::ofstream &file, const std::string &path)
+{
+    if (path.empty())
+        return;
+    file.open(path);
+    if (!file)
+        usageError("cannot open " + path);
+}
+
+/** Feed @p outcomes through @p sink and report the file it wrote. */
+void
+writeSink(ResultSink &&sink, const std::vector<JobOutcome> &outcomes,
+          const std::string &path)
+{
+    for (const JobOutcome &outcome : outcomes)
+        sink.consume(outcome);
+    sink.finish();
+    std::fprintf(stderr, "[dgrun] wrote %s\n", path.c_str());
+}
+
+/**
+ * Write @p outcomes to the open sink files. File JSONL carries host
+ * metrics (wall time, KIPS, trace and watchdog metadata) unless
+ * --no-host-metrics asked for the byte-comparable form.
+ */
 void
 writeSinkFiles(const std::vector<JobOutcome> &outcomes,
-               const Options &options)
+               const Options &options, SinkFiles &files)
 {
-    if (!options.jsonlPath.empty()) {
-        std::ofstream file(options.jsonlPath);
-        if (!file)
-            usageError("cannot open " + options.jsonlPath);
-        JsonlSink sink(file, /*host_metrics=*/options.hostMetrics);
-        for (const JobOutcome &outcome : outcomes)
-            sink.consume(outcome);
-        sink.finish();
-        std::fprintf(stderr, "[dgrun] wrote %s\n", options.jsonlPath.c_str());
-    }
-    if (!options.csvPath.empty()) {
-        std::ofstream file(options.csvPath);
-        if (!file)
-            usageError("cannot open " + options.csvPath);
-        CsvSink sink(file);
-        for (const JobOutcome &outcome : outcomes)
-            sink.consume(outcome);
-        sink.finish();
-        std::fprintf(stderr, "[dgrun] wrote %s\n", options.csvPath.c_str());
-    }
+    if (files.jsonl.is_open())
+        writeSink(JsonlSink(files.jsonl, options.hostMetrics), outcomes,
+                  options.jsonlPath);
+    if (files.csv.is_open())
+        writeSink(CsvSink(files.csv), outcomes, options.csvPath);
 }
 
 /**
  * The fuzz post-pass (repros, minimization, findings JSONL) over
- * index-ordered outcomes. Returns 4 — the "confirmed secure-scheme
- * leak" exit code — when any finding survived, else 0.
+ * index-ordered outcomes of a fuzz sweep (@p fuzzCount != 0). Returns
+ * 4 — the "confirmed secure-scheme leak" exit code — when any finding
+ * survived, else @p exitCode: a leak dominates every other exit
+ * condition, as it is the one result the campaign exists to find.
  */
 int
-runFuzzPost(const std::vector<JobOutcome> &outcomes, std::uint64_t fuzzSeed,
-            const Options &options)
+runFuzzPost(const std::vector<JobOutcome> &outcomes, std::uint64_t fuzzCount,
+            std::uint64_t fuzzSeed, const Options &options, int exitCode)
 {
+    if (fuzzCount == 0)
+        return exitCode;
     fuzz::PostOptions popts;
     popts.fuzzSeed = fuzzSeed;
     popts.reproDir = options.fuzzDir;
@@ -731,7 +751,7 @@ runFuzzPost(const std::vector<JobOutcome> &outcomes, std::uint64_t fuzzSeed,
     popts.quiet = options.quiet;
     const fuzz::PostSummary summary =
         fuzz::postProcess(outcomes, popts, std::cerr);
-    return summary.findings != 0 ? 4 : 0;
+    return summary.findings != 0 ? 4 : exitCode;
 }
 
 /** --fuzz-replay: one .dgasm repro through the full oracle. */
@@ -892,7 +912,7 @@ runListJobs(const Options &options)
  * sweep the other flags (or --campaign F's manifest) select.
  */
 int
-runMergeMode(const Options &options)
+runMergeMode(const Options &options, SinkFiles &sinks)
 {
     std::vector<Job> jobs;
     std::uint64_t fuzzCount = options.fuzzCount;
@@ -935,23 +955,16 @@ runMergeMode(const Options &options)
                      options.journalPath.c_str());
     }
 
-    writeSinkFiles(outcomes, options);
+    writeSinkFiles(outcomes, options, sinks);
     int exitCode = printSummaryTable(outcomes);
     if (missing != 0)
         exitCode = 1;
-    if (fuzzCount != 0) {
-        // A confirmed secure-scheme leak dominates every other exit
-        // condition: it is the one result the campaign exists to find.
-        const int fuzzCode = runFuzzPost(outcomes, fuzzSeed, options);
-        if (fuzzCode != 0)
-            exitCode = fuzzCode;
-    }
-    return exitCode;
+    return runFuzzPost(outcomes, fuzzCount, fuzzSeed, options, exitCode);
 }
 
 /** --campaign: the forked work-stealing coordinator. */
 int
-runCampaignMode(const Options &options)
+runCampaignMode(const Options &options, SinkFiles &sinks)
 {
     const CampaignManifest manifest = loadManifest(options.campaignPath);
 
@@ -981,7 +994,7 @@ runCampaignMode(const Options &options)
                  report.stolen, report.duplicates, report.passes,
                  report.workerDeaths);
 
-    writeSinkFiles(report.outcomes, options);
+    writeSinkFiles(report.outcomes, options, sinks);
     int exitCode = printSummaryTable(report.outcomes);
     if (report.missing != 0) {
         std::fprintf(stderr,
@@ -990,40 +1003,53 @@ runCampaignMode(const Options &options)
                      options.campaignPath.c_str());
         exitCode = 1;
     }
-    if (manifest.fuzzCount != 0) {
-        // A confirmed secure-scheme leak dominates every other exit
-        // condition: it is the one result the campaign exists to find.
-        const int fuzzCode =
-            runFuzzPost(report.outcomes, manifest.fuzzSeed, options);
-        if (fuzzCode != 0)
-            exitCode = fuzzCode;
-    }
+    exitCode = runFuzzPost(report.outcomes, manifest.fuzzCount,
+                           manifest.fuzzSeed, options, exitCode);
     if (report.drained)
         return 130;
     return exitCode;
 }
 
-/** --validate-trace: parse + structurally validate an O3PipeView file. */
+/**
+ * --validate: structural checks on a merged telemetry trace (a JSON
+ * document, so its first byte is '{') or an O3PipeView pipeline trace.
+ */
 int
-runValidateTrace(const std::string &path)
+runValidate(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         usageError("cannot open " + path);
-    const std::vector<TraceRecord> records = parseO3PipeView(in);
-    const std::string violation = validateO3PipeView(records);
+    const bool telemetryTrace = in.peek() == '{';
+    const char *kind = telemetryTrace ? "telemetry" : "trace";
+    std::string violation;
+    char summary[128];
+    if (telemetryTrace) {
+        try {
+            const std::vector<telemetry::TraceEvent> events =
+                telemetry::loadMergedTrace(path);
+            violation = telemetry::validateTraceEvents(events);
+            std::snprintf(summary, sizeof(summary), "%zu event(s)",
+                          events.size());
+        } catch (const JsonParseError &e) {
+            violation = e.what();
+        }
+    } else {
+        const std::vector<TraceRecord> records = parseO3PipeView(in);
+        violation = validateO3PipeView(records);
+        std::size_t squashed = 0;
+        for (const TraceRecord &record : records)
+            squashed += record.squashed;
+        std::snprintf(summary, sizeof(summary),
+                      "%zu records (%zu retired, %zu squashed)",
+                      records.size(), records.size() - squashed, squashed);
+    }
     if (!violation.empty()) {
-        std::fprintf(stderr, "[dgrun] trace INVALID: %s\n",
+        std::fprintf(stderr, "[dgrun] %s INVALID: %s\n", kind,
                      violation.c_str());
         return 1;
     }
-    std::size_t squashed = 0;
-    for (const TraceRecord &record : records)
-        squashed += record.squashed;
-    std::fprintf(stderr,
-                 "[dgrun] trace OK: %zu records (%zu retired, %zu "
-                 "squashed)\n",
-                 records.size(), records.size() - squashed, squashed);
+    std::fprintf(stderr, "[dgrun] %s OK: %s\n", kind, summary);
     return 0;
 }
 
@@ -1054,29 +1080,6 @@ struct TelemetrySession
     }
 };
 
-/** --validate-telemetry: strict parse + structural checks, then exit. */
-int
-runValidateTelemetry(const std::string &path)
-{
-    try {
-        const std::vector<telemetry::TraceEvent> events =
-            telemetry::loadMergedTrace(path);
-        const std::string violation =
-            telemetry::validateTraceEvents(events);
-        if (!violation.empty()) {
-            std::fprintf(stderr, "[dgrun] telemetry INVALID: %s\n",
-                         violation.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "[dgrun] telemetry OK: %zu event(s)\n",
-                     events.size());
-        return 0;
-    } catch (const JsonParseError &e) {
-        std::fprintf(stderr, "[dgrun] telemetry INVALID: %s\n", e.what());
-        return 1;
-    }
-}
-
 /** --report: journals (+ optional --telemetry trace) -> stdout. */
 int
 runReportMode(const Options &options)
@@ -1089,54 +1092,13 @@ runReportMode(const Options &options)
     return 0;
 }
 
-} // namespace
-
+/** The plain sweep: expand, run on the thread pool, report. */
 int
-main(int argc, char **argv)
+runSweepMode(const Options &options, SinkFiles &sinks)
 {
-    const Options options = parseArgs(argc, argv);
-    // The telemetry *readers* run before the session below would
-    // truncate the very files they read.
-    if (!options.validateTelemetryPath.empty())
-        return runValidateTelemetry(options.validateTelemetryPath);
-    if (options.report)
-        return runReportMode(options);
-    if (!options.validateTracePath.empty())
-        return runValidateTrace(options.validateTracePath);
-    if (!options.fuzzReplayPath.empty())
-        return runFuzzReplay(options);
-    TelemetrySession telemetrySession(options);
-    try {
-        if (options.listJobs)
-            return runListJobs(options);
-        if (!options.campaignInitPath.empty())
-            return runCampaignInit(options);
-        if (options.merge)
-            return runMergeMode(options);
-        if (!options.campaignPath.empty())
-            return runCampaignMode(options);
-    } catch (const CampaignError &e) {
-        std::fprintf(stderr, "dgrun: %s\n", e.what());
-        return 2;
-    }
     const unsigned threads = options.threads == 0
                                  ? ThreadPool::hardwareThreads()
                                  : options.threads;
-
-    // Open sink files before the sweep so a bad path fails fast
-    // instead of discarding minutes of simulation.
-    std::ofstream jsonlFile;
-    if (!options.jsonlPath.empty()) {
-        jsonlFile.open(options.jsonlPath);
-        if (!jsonlFile)
-            usageError("cannot open " + options.jsonlPath);
-    }
-    std::ofstream csvFile;
-    if (!options.csvPath.empty()) {
-        csvFile.open(options.csvPath);
-        if (!csvFile)
-            usageError("cannot open " + options.csvPath);
-    }
 
     const SweepSpec spec = buildSpec(options);
     std::vector<Job> jobs;
@@ -1216,24 +1178,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (jsonlFile.is_open()) {
-        // File output carries host metrics (wall-time/KIPS, trace and
-        // watchdog metadata) unless --no-host-metrics asked for the
-        // byte-comparable form; the --verify comparison above always
-        // uses the host-metrics-off serialization.
-        JsonlSink sink(jsonlFile, /*host_metrics=*/options.hostMetrics);
-        for (const JobOutcome &outcome : outcomes)
-            sink.consume(outcome);
-        sink.finish();
-        std::fprintf(stderr, "[dgrun] wrote %s\n", options.jsonlPath.c_str());
-    }
-    if (csvFile.is_open()) {
-        CsvSink sink(csvFile);
-        for (const JobOutcome &outcome : outcomes)
-            sink.consume(outcome);
-        sink.finish();
-        std::fprintf(stderr, "[dgrun] wrote %s\n", options.csvPath.c_str());
-    }
+    writeSinkFiles(outcomes, options, sinks);
 
     if (printSummaryTable(outcomes) != 0)
         exitCode = 1;
@@ -1258,13 +1203,8 @@ main(int argc, char **argv)
         }
     }
 
-    if (spec.fuzzCount != 0) {
-        // A confirmed secure-scheme leak dominates every other exit
-        // condition: it is the one result the campaign exists to find.
-        const int fuzzCode = runFuzzPost(outcomes, spec.fuzzSeed, options);
-        if (fuzzCode != 0)
-            exitCode = fuzzCode;
-    }
+    exitCode = runFuzzPost(outcomes, spec.fuzzCount, spec.fuzzSeed, options,
+                           exitCode);
 
     // Fault-tolerance accounting.
     std::size_t resumedCount = 0, retriedCount = 0, interruptedCount = 0;
@@ -1292,4 +1232,38 @@ main(int argc, char **argv)
         return 130;
     }
     return exitCode;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const Options options = parseArgs(argc, argv);
+    // The telemetry *readers* run before the session below would
+    // truncate the very files they read.
+    if (!options.validatePath.empty())
+        return runValidate(options.validatePath);
+    if (options.report)
+        return runReportMode(options);
+    if (!options.fuzzReplayPath.empty())
+        return runFuzzReplay(options);
+    TelemetrySession telemetrySession(options);
+    try {
+        if (options.listJobs)
+            return runListJobs(options);
+        if (!options.campaignInitPath.empty())
+            return runCampaignInit(options);
+        SinkFiles sinks;
+        openSinkFile(sinks.jsonl, options.jsonlPath);
+        openSinkFile(sinks.csv, options.csvPath);
+        if (options.merge)
+            return runMergeMode(options, sinks);
+        if (!options.campaignPath.empty())
+            return runCampaignMode(options, sinks);
+        return runSweepMode(options, sinks);
+    } catch (const CampaignError &e) {
+        std::fprintf(stderr, "dgrun: %s\n", e.what());
+        return 2;
+    }
 }

@@ -13,20 +13,28 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/linelog.hh"
 #include "runner/campaign.hh"
 #include "runner/coordinator.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/journal.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
+#include "telemetry/telemetry.hh"
+#include "telemetry/trace.hh"
 
 namespace dgsim::runner
 {
@@ -105,6 +113,38 @@ freshManifest(const std::string &name, CampaignManifest &manifest,
     return path;
 }
 
+/** Append @p text to @p path: what a kill in the middle of write(2)
+    leaves when @p text has no '\n'. */
+void
+appendText(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::app);
+    out << text;
+}
+
+const char *const kTornRecord = "{\"key\":\"half-writ";
+const char *const kTornEvent = "{\"name\":\"job\",\"cat\":\"jo";
+
+/** Tracing into @p path for one test, merged and off again however
+    the test ends. */
+class TraceSession
+{
+  public:
+    explicit TraceSession(const std::string &path)
+    {
+        std::remove(path.c_str());
+        telemetry::TelemetryConfig config;
+        config.tracePath = path;
+        telemetry::enable(config);
+    }
+
+    ~TraceSession()
+    {
+        telemetry::finalizeTrace();
+        telemetry::shutdown();
+    }
+};
+
 /** The single-process reference the campaign must byte-match. */
 std::vector<JobOutcome>
 referenceRun(const CampaignManifest &manifest)
@@ -160,6 +200,102 @@ TEST(Coordinator, RerunningACompleteCampaignResumesNotReruns)
     EXPECT_EQ(second.stolen, 0u);
     EXPECT_EQ(second.duplicates, 0u);
     EXPECT_EQ(jsonlOf(second.outcomes), jsonlOf(first.outcomes));
+}
+
+TEST(Coordinator, RerunAfterTornTailsMergesEveryJob)
+{
+    CampaignManifest manifest;
+    const std::string path = freshManifest("coord_torn", manifest);
+    const std::string trace = tempPath("coord_torn.trace.json");
+    TraceSession tracing(trace);
+
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.progress = false;
+    options.execute = identityMockResult;
+    ASSERT_EQ(runCampaign(path, manifest, options).missing, 0u);
+
+    // Force one job to re-run: drop the last record of a non-empty
+    // worker journal (a fast worker may have stolen every job). Then
+    // leave a torn tail in every journal, since whichever worker
+    // re-runs the job appends after it, and in every part file.
+    const std::vector<std::string> journals = {workerJournalPath(path, 0),
+                                               workerJournalPath(path, 1)};
+    const std::string &journal =
+        readLogLines(journals[0]).empty() ? journals[1] : journals[0];
+    std::vector<std::string> records = readLogLines(journal);
+    ASSERT_FALSE(records.empty());
+    records.pop_back();
+    {
+        std::ofstream out(journal, std::ios::trunc);
+        for (const std::string &record : records)
+            out << record << "\n";
+    }
+    for (unsigned w = 0; w < options.workers; ++w) {
+        appendText(journals[w], kTornRecord);
+        appendText(trace + ".w" + std::to_string(w) + ".events",
+                   kTornEvent);
+    }
+
+    const CampaignReport rerun = runCampaign(path, manifest, options);
+    EXPECT_EQ(rerun.ok, rerun.total);
+    EXPECT_EQ(rerun.missing, 0u);
+    EXPECT_EQ(rerun.passes, 1u);
+    EXPECT_EQ(jsonlOf(rerun.outcomes), jsonlOf(referenceRun(manifest)));
+    EXPECT_EQ(mergeJournals(journals).size(), rerun.total);
+
+    telemetry::finalizeTrace();
+    EXPECT_EQ(telemetry::validateTraceEvents(
+                  telemetry::loadMergedTrace(trace)),
+              "");
+}
+
+/** Executions in this process; a forked worker starts from the
+    parent's 0, which never runs a job itself. */
+std::atomic<unsigned> g_workerJobs{0};
+
+TEST(Coordinator, WorkerKilledMidWriteIsRecoveredInRun)
+{
+    CampaignManifest manifest;
+    const std::string path = freshManifest("coord_torn_kill", manifest);
+    const std::string trace = tempPath("coord_torn_kill.trace.json");
+    const std::string marker = tempPath("coord_torn_kill.marker");
+    std::remove(marker.c_str());
+    TraceSession tracing(trace);
+
+    // The lone worker's third job leaves what a SIGKILL in the middle
+    // of write(2) leaves — a torn journal record and a torn event line
+    // — and dies, once. The recovery pass reopens both files.
+    CoordinatorOptions options;
+    options.workers = 1;
+    options.progress = false;
+    options.execute = [path, trace, marker](const Job &job) {
+        if (++g_workerJobs == 3) {
+            const int fd = ::open(marker.c_str(),
+                                  O_WRONLY | O_CREAT | O_EXCL, 0644);
+            if (fd >= 0) {
+                appendText(workerJournalPath(path, 0), kTornRecord);
+                appendText(trace + ".w0.events", kTornEvent);
+                _exit(9);
+            }
+        }
+        return identityMockResult(job);
+    };
+    const CampaignReport report = runCampaign(path, manifest, options);
+
+    EXPECT_GE(report.workerDeaths, 1u);
+    EXPECT_GE(report.passes, 2u);
+    EXPECT_EQ(report.ok, report.total);
+    EXPECT_EQ(jsonlOf(report.outcomes), jsonlOf(referenceRun(manifest)));
+
+    telemetry::finalizeTrace();
+    const std::vector<telemetry::TraceEvent> events =
+        telemetry::loadMergedTrace(trace);
+    EXPECT_EQ(telemetry::validateTraceEvents(events), "");
+    bool recoveryPass = false;
+    for (const telemetry::TraceEvent &event : events)
+        recoveryPass |= event.name == "pass" && event.cat == "recovery";
+    EXPECT_TRUE(recoveryPass);
 }
 
 TEST(Coordinator, WorkerDeathMidJobIsRecoveredInRun)

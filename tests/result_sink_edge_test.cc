@@ -10,6 +10,9 @@
  *    and must read back exactly;
  *  - strtod sets ERANGE for *underflow* too, with a perfectly valid
  *    subnormal result — only overflow may be rejected.
+ *
+ * The CSV sink has no reader (CSV is write-only output), so its exact
+ * text is pinned instead.
  */
 
 #include <gtest/gtest.h>
@@ -53,19 +56,6 @@ jsonlRoundTrip(const JobOutcome &outcome)
     sink.consume(outcome);
     sink.finish();
     const auto loaded = readJsonl(ss);
-    EXPECT_EQ(loaded.size(), 1u);
-    return loaded.at(0);
-}
-
-/** Serialize, round-trip through the CSV reader, return the copy. */
-JobOutcome
-csvRoundTrip(const JobOutcome &outcome)
-{
-    std::stringstream ss;
-    CsvSink sink(ss);
-    sink.consume(outcome);
-    sink.finish();
-    const auto loaded = readCsv(ss);
     EXPECT_EQ(loaded.size(), 1u);
     return loaded.at(0);
 }
@@ -122,26 +112,6 @@ TEST(IntegerParsing, OverflowIsFatal)
                 testing::ExitedWithCode(1), "bad integer for cycles");
 }
 
-TEST(IntegerParsing, CsvNegativeCounterIsFatal)
-{
-    JobOutcome outcome = baseOutcome();
-    outcome.result.counters["core.cycles"] = 7;
-    std::stringstream ss;
-    CsvSink sink(ss);
-    sink.consume(outcome);
-    sink.finish();
-    std::string text = ss.str();
-    const std::size_t at = text.rfind(",7");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, 2, ",-7");
-    EXPECT_EXIT(
-        {
-            std::istringstream in(text);
-            readCsv(in);
-        },
-        testing::ExitedWithCode(1), "bad integer");
-}
-
 TEST(NonFiniteDoubles, JsonlLinesStayValidJson)
 {
     JobOutcome outcome = baseOutcome();
@@ -169,18 +139,6 @@ TEST(NonFiniteDoubles, JsonlRoundTrip)
     EXPECT_TRUE(std::signbit(loaded.result.dgAccuracy));
 }
 
-TEST(NonFiniteDoubles, CsvRoundTrip)
-{
-    JobOutcome outcome = baseOutcome();
-    outcome.result.ipc = std::numeric_limits<double>::quiet_NaN();
-    outcome.result.dgCoverage = -std::numeric_limits<double>::infinity();
-
-    const JobOutcome loaded = csvRoundTrip(outcome);
-    EXPECT_TRUE(std::isnan(loaded.result.ipc));
-    EXPECT_TRUE(std::isinf(loaded.result.dgCoverage));
-    EXPECT_TRUE(std::signbit(loaded.result.dgCoverage));
-}
-
 TEST(SubnormalDoubles, RoundTripExactly)
 {
     // strtod reports ERANGE for these even though the returned value is
@@ -195,11 +153,48 @@ TEST(SubnormalDoubles, RoundTripExactly)
     EXPECT_EQ(viaJsonl.result.ipc, denormMin);
     EXPECT_EQ(viaJsonl.result.dgCoverage, 1.5e-310);
     EXPECT_EQ(viaJsonl.result.dgAccuracy, -denormMin);
+}
 
-    const JobOutcome viaCsv = csvRoundTrip(outcome);
-    EXPECT_EQ(viaCsv.result.ipc, denormMin);
-    EXPECT_EQ(viaCsv.result.dgCoverage, 1.5e-310);
-    EXPECT_EQ(viaCsv.result.dgAccuracy, -denormMin);
+TEST(CsvSink, WritesExactText)
+{
+    // CSV is write-only output, so its bytes are the contract: the
+    // sorted union of counter columns, an empty cell for a counter a
+    // row lacks, RFC-4180 quoting, and doubles spelled as in JSONL.
+    JobOutcome first = baseOutcome();
+    first.result.ipc = std::numeric_limits<double>::quiet_NaN();
+    first.result.dgCoverage = std::numeric_limits<double>::denorm_min();
+    first.result.dgAccuracy = -std::numeric_limits<double>::infinity();
+    first.result.counters = {{"core.cycles", 7}, {"z.only", 3}};
+
+    JobOutcome second = baseOutcome();
+    second.index = 1;
+    second.workload = "mcf";
+    second.configLabel = "STT";
+    second.ok = false;
+    second.error = "bad \"x\", y\nz";
+    second.result.ipc = std::numeric_limits<double>::infinity();
+    second.result.dgCoverage = 1.5e-310;
+    second.result.counters = {{"a.first", 1}, {"core.cycles", 9}};
+
+    std::ostringstream ss;
+    CsvSink sink(ss);
+    sink.consume(first);
+    sink.consume(second);
+    sink.finish();
+    EXPECT_EQ(ss.str(),
+              "index,workload,suite,config,ok,error,cycles,instructions,"
+              "ipc,l1Accesses,l1Misses,l2Accesses,l2Misses,l3Accesses,"
+              "dramAccesses,dgCoverage,dgAccuracy,dgAttached,dgIssued,"
+              "dgVerifiedOk,dgVerifiedBad,committedLoads,committedStores,"
+              "committedBranches,branchSquashes,memOrderSquashes,"
+              "domDelayed,stlForwards,cacheDigest,uarchDigest,"
+              "counter:a.first,counter:core.cycles,counter:z.only\n"
+              "0,gobmk,SPEC2006,DoM+AP,true,,1000,500,NaN,0,0,0,0,0,0,"
+              "4.9406564584124654e-324,-Infinity,"
+              "0,0,0,0,0,0,0,0,0,0,0,0,0,,7,3\n"
+              "1,mcf,SPEC2006,STT,false,\"bad \"\"x\"\", y\nz\",1000,500,"
+              "Infinity,0,0,0,0,0,0,1.5000000000000201e-310,0,"
+              "0,0,0,0,0,0,0,0,0,0,0,0,0,1,9,\n");
 }
 
 TEST(DoubleParsing, OverflowIsStillFatal)

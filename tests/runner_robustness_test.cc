@@ -384,6 +384,54 @@ TEST(RunnerJournal, LoadToleratesTruncatedFinalRecord)
     EXPECT_EQ(map.size(), spec.jobCount());
 }
 
+TEST(RunnerJournal, ResumeAfterTornTailKeepsEveryRecord)
+{
+    const SweepSpec spec = smallSpec(1'000);
+    const std::string journalPath = tempPath("torn_tail_resume.jsonl");
+    std::remove(journalPath.c_str());
+
+    // A run killed mid-write: jobs 0..4 journaled, then a torn record.
+    std::atomic<bool> cancel{false};
+    RunnerOptions interrupted = fastRetryOptions(1, 1);
+    interrupted.journalPath = journalPath;
+    interrupted.cancel = &cancel;
+    interrupted.execute = [&cancel](const Job &job) {
+        if (job.index == 4)
+            cancel.store(true);
+        return mockResult(job);
+    };
+    ExperimentRunner(interrupted).run(spec);
+    {
+        std::ofstream out(journalPath, std::ios::app);
+        out << "{\"key\":\"half-writ";
+    }
+
+    // Resume into the same file, as `dgrun --resume J` does. Its
+    // records must not glue onto the fragment.
+    RunnerOptions resumed = fastRetryOptions(2, 1);
+    resumed.journalPath = journalPath;
+    resumed.resume = loadJournal(journalPath);
+    ASSERT_EQ(resumed.resume.size(), 5u);
+    resumed.execute = mockResult;
+    ExperimentRunner(resumed).run(spec);
+
+    EXPECT_EQ(loadJournal(journalPath).size(), spec.jobCount());
+}
+
+TEST(RunnerJournal, AppendFailureIsFatal)
+{
+    // A full disk must stop the run, not drop records without a word.
+    // (/dev/full is a character device: nothing to trim on open.)
+    JobOutcome outcome;
+    outcome.ok = true;
+    EXPECT_EXIT(
+        {
+            JournalWriter writer("/dev/full");
+            writer.record("job", outcome);
+        },
+        testing::ExitedWithCode(1), "append failed");
+}
+
 TEST(RunnerJournal, MissingJournalLoadsEmpty)
 {
     EXPECT_TRUE(loadJournal(tempPath("nonexistent.jsonl")).empty());
@@ -449,8 +497,8 @@ TEST(RunnerJournal, SyncedJournalRoundTrips)
     const std::string journalPath = tempPath("synced_journal.jsonl");
     std::remove(journalPath.c_str());
 
-    // --journal-sync path: every record is fsync'd through the
-    // secondary descriptor; the journal must still load identically.
+    // --journal-sync path: every record is fsync'd after its write;
+    // the journal must still load identically.
     RunnerOptions options = fastRetryOptions(2, 1);
     options.journalPath = journalPath;
     options.journalSync = true;

@@ -232,22 +232,6 @@ TEST(ResultSinks, JsonlRoundTripsAllFields)
         expectOutcomeEq(loaded[i], original[i]);
 }
 
-TEST(ResultSinks, CsvRoundTripsAllFields)
-{
-    const std::vector<JobOutcome> original = {fullyPopulatedOutcome(),
-                                              failedOutcome()};
-    std::stringstream ss;
-    CsvSink sink(ss);
-    for (const JobOutcome &outcome : original)
-        sink.consume(outcome);
-    sink.finish();
-
-    const std::vector<JobOutcome> loaded = readCsv(ss);
-    ASSERT_EQ(loaded.size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i)
-        expectOutcomeEq(loaded[i], original[i]);
-}
-
 TEST(ResultSinks, SinksAttachedToRunnerSeeIndexOrder)
 {
     const SweepSpec spec = smallSpec(1'000);
