@@ -7,7 +7,7 @@
  * bench quantifies what that security fix costs in performance by
  * comparing DoM+AP against the intentionally-insecure eager variant.
  *
- * Usage: ablation_dom_branch [instructions-per-run]
+ * Usage: ablation_dom_branch [instructions-per-run] [--threads N] [--retries N]
  */
 
 #include "bench_common.hh"
@@ -17,49 +17,37 @@ main(int argc, char **argv)
 {
     using namespace dgsim;
     using namespace dgsim::bench;
+    using runner::normalizedIpc;
 
-    const std::uint64_t instructions = instructionBudget(argc, argv);
+    const BenchArgs args = parseBenchArgs(argc, argv);
     std::printf("=== Ablation: DoM+AP in-order branch resolution (§4.6), "
                 "%llu instructions/run ===\n\n",
-                static_cast<unsigned long long>(instructions));
+                static_cast<unsigned long long>(args.instructions));
+
+    std::vector<runner::MatrixColumn> columns =
+        runner::paperColumns(args.instructions, {"DoM", "DoM+AP"});
+    runner::MatrixColumn eager = columns[1];
+    eager.label = "DoM+AP-eager";
+    eager.config.domEagerBranchResolution = true;
+    columns.push_back(eager);
+    const runner::MatrixTable table =
+        benchMatrix(args, workloads::evaluationSuite(), columns);
 
     std::printf("%-14s %10s %12s %14s %10s\n", "benchmark", "DoM",
                 "DoM+AP", "DoM+AP-eager", "fix cost");
 
-    std::vector<double> in_order;
-    std::vector<double> eager;
-    for (const workloads::WorkloadDef &workload :
-         workloads::evaluationSuite()) {
-        const Program program = workload.build(0);
-
-        SimConfig base;
-        base.maxInstructions = instructions;
-        base.maxCycles = instructions * 200;
-        base.warmupInstructions = instructions / 3;
-        base.scheme = Scheme::Dom;
-
-        const SimResult dom = runProgram(program, base);
-
-        SimConfig secure = base;
-        secure.addressPrediction = true;
-        const SimResult with_fix = runProgram(program, secure);
-
-        SimConfig insecure = secure;
-        insecure.domEagerBranchResolution = true;
-        const SimResult without_fix = runProgram(program, insecure);
-
-        const double fixed_norm = with_fix.ipc / dom.ipc;
-        const double eager_norm = without_fix.ipc / dom.ipc;
-        in_order.push_back(fixed_norm);
-        eager.push_back(eager_norm);
+    for (const runner::MatrixRow &row : table.rows) {
+        const double fixed_norm = normalizedIpc(row, 1, 0);
+        const double eager_norm = normalizedIpc(row, 2, 0);
         std::printf("%-14s %10.3f %12.3f %14.3f %9.1f%%\n",
-                    workload.name.c_str(), 1.0, fixed_norm, eager_norm,
+                    row.workload.c_str(), 1.0, fixed_norm, eager_norm,
                     100.0 * (eager_norm - fixed_norm));
     }
 
+    const double in_order = runner::gmeanNormalizedIpc(table, 1, 0);
+    const double eager_gmean = runner::gmeanNormalizedIpc(table, 2, 0);
     std::printf("\nGMEAN: in-order %.3f, eager (INSECURE) %.3f -> the "
                 "security rule costs %.1f%% on DoM+AP.\n",
-                geomean(in_order), geomean(eager),
-                100.0 * (geomean(eager) - geomean(in_order)));
+                in_order, eager_gmean, 100.0 * (eager_gmean - in_order));
     return 0;
 }

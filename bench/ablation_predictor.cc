@@ -7,7 +7,7 @@
  * performance level" (§5.1); this bench quantifies how much headroom a
  * larger/better predictor would have on the same kernels.
  *
- * Usage: ablation_predictor [instructions-per-run]
+ * Usage: ablation_predictor [instructions-per-run] [--threads N] [--retries N]
  */
 
 #include "bench_common.hh"
@@ -27,52 +27,45 @@ main(int argc, char **argv)
     using namespace dgsim;
     using namespace dgsim::bench;
 
-    const std::uint64_t instructions = instructionBudget(argc, argv);
+    const BenchArgs args = parseBenchArgs(argc, argv);
     std::printf("=== Ablation: predictor configuration (NDA-P+AP "
                 "normalized to NDA-P), %llu instructions/run ===\n\n",
-                static_cast<unsigned long long>(instructions));
+                static_cast<unsigned long long>(args.instructions));
 
-    struct Variant
-    {
-        const char *name;
-        unsigned entries;
-        unsigned assoc;
-        unsigned confidence;
+    // NDA-P, then NDA-P+AP under each predictor variant.
+    std::vector<runner::MatrixColumn> columns =
+        runner::paperColumns(args.instructions, {"NDA-P", "NDA-P+AP"});
+    const runner::MatrixColumn ap = columns.back();
+    columns.pop_back();
+    auto variant = [&](const char *name, unsigned entries, unsigned assoc,
+                       unsigned confidence) {
+        runner::MatrixColumn column = ap;
+        column.label = name;
+        column.config.predictorEntries = entries;
+        column.config.predictorAssoc = assoc;
+        column.config.predictorConfidenceThreshold = confidence;
+        columns.push_back(column);
     };
-    const Variant variants[] = {
-        {"64e/4w/c2", 64, 4, 2},    {"256e/8w/c2", 256, 8, 2},
-        {"1024e/8w/c2", 1024, 8, 2}, // Table 1 configuration.
-        {"4096e/8w/c2", 4096, 8, 2}, {"1024e/8w/c0", 1024, 8, 0},
-        {"1024e/8w/c6", 1024, 8, 6},
-    };
+    variant("64e/4w/c2", 64, 4, 2);
+    variant("256e/8w/c2", 256, 8, 2);
+    variant("1024e/8w/c2", 1024, 8, 2); // Table 1 configuration.
+    variant("4096e/8w/c2", 4096, 8, 2);
+    variant("1024e/8w/c0", 1024, 8, 0);
+    variant("1024e/8w/c6", 1024, 8, 6);
+    std::vector<workloads::WorkloadDef> suite;
+    for (const char *name : kWorkloads)
+        suite.push_back(workloads::findWorkload(name));
+    const runner::MatrixTable table = benchMatrix(args, suite, columns);
 
     std::printf("%-14s", "workload");
-    for (const Variant &variant : variants)
-        std::printf(" %12s", variant.name);
+    for (std::size_t col = 1; col < columns.size(); ++col)
+        std::printf(" %12s", columns[col].label.c_str());
     std::printf("\n");
 
-    for (const char *name : kWorkloads) {
-        const auto &def = workloads::findWorkload(name);
-        const Program program = def.build(0);
-
-        SimConfig base;
-        base.maxInstructions = instructions;
-        base.maxCycles = instructions * 200;
-        base.warmupInstructions = instructions / 3;
-        base.scheme = Scheme::NdaP;
-
-        const SimResult nda = runProgram(program, base);
-
-        std::printf("%-14s", name);
-        for (const Variant &variant : variants) {
-            SimConfig config = base;
-            config.addressPrediction = true;
-            config.predictorEntries = variant.entries;
-            config.predictorAssoc = variant.assoc;
-            config.predictorConfidenceThreshold = variant.confidence;
-            const SimResult result = runProgram(program, config);
-            std::printf(" %12.3f", nda.ipc == 0 ? 0 : result.ipc / nda.ipc);
-        }
+    for (const runner::MatrixRow &row : table.rows) {
+        std::printf("%-14s", row.workload.c_str());
+        for (std::size_t col = 1; col < columns.size(); ++col)
+            std::printf(" %12.3f", runner::normalizedIpc(row, col, 0));
         std::printf("\n");
     }
 

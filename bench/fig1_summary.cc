@@ -15,59 +15,40 @@ main(int argc, char **argv)
 {
     using namespace dgsim;
     using namespace dgsim::bench;
+    using runner::gmeanNormalizedIpc;
 
     const BenchArgs args = parseBenchArgs(argc, argv);
     std::printf("=== Figure 1: headline summary, %llu instructions/run "
                 "===\n\n",
                 static_cast<unsigned long long>(args.instructions));
 
-    const std::vector<WorkloadRow> rows =
-        runSuiteMatrix(args.instructions, args.threads, args.retries);
+    const runner::MatrixTable table =
+        benchMatrix(args, workloads::evaluationSuite(),
+                    runner::paperColumns(args.instructions));
+    const std::size_t unsafe = table.column("Unsafe");
 
-    struct SchemePair
-    {
-        const char *base;
-        const char *ap;
-        double paperBase;
-        double paperAp;
+    // Share of the slowdown that AP wins back, in percent.
+    auto reduced = [](double base, double ap) {
+        const double slowdown = 1.0 - base;
+        return slowdown <= 0.0 ? 0.0
+                               : 100.0 * (slowdown - (1.0 - ap)) / slowdown;
     };
-    const SchemePair pairs[] = {
-        {"NDA-P", "NDA-P+AP", 0.887, 0.935},
-        {"STT", "STT+AP", 0.905, 0.951},
-        {"DoM", "DoM+AP", 0.818, 0.873},
-    };
-
     std::printf("%-8s %10s %10s %18s %14s\n", "scheme", "base", "+AP",
                 "slowdown reduced", "paper");
-    for (const SchemePair &pair : pairs) {
-        std::vector<double> base_values;
-        std::vector<double> ap_values;
-        for (const WorkloadRow &row : rows) {
-            base_values.push_back(normalizedIpc(row, pair.base));
-            ap_values.push_back(normalizedIpc(row, pair.ap));
-        }
-        const double base = geomean(base_values);
-        const double ap = geomean(ap_values);
-        const double base_slowdown = 1.0 - base;
-        const double ap_slowdown = 1.0 - ap;
-        const double reduced =
-            base_slowdown <= 0.0
-                ? 0.0
-                : 100.0 * (base_slowdown - ap_slowdown) / base_slowdown;
-        const double paper_reduced = 100.0 *
-                                     ((1.0 - pair.paperBase) -
-                                      (1.0 - pair.paperAp)) /
-                                     (1.0 - pair.paperBase);
+    for (const paper::reference::SchemeGmean &paper :
+         paper::reference::kSchemeGmeans) {
+        const double base =
+            gmeanNormalizedIpc(table, table.column(paper.scheme), unsafe);
+        const double ap =
+            gmeanNormalizedIpc(table, table.column(paper.schemeAp), unsafe);
         std::printf("%-8s %10.3f %10.3f %17.1f%% %8.3f->%5.3f (%.0f%%)\n",
-                    pair.base, base, ap, reduced, pair.paperBase,
-                    pair.paperAp, paper_reduced);
+                    paper.scheme, base, ap, reduced(base, ap), paper.base,
+                    paper.ap, reduced(paper.base, paper.ap));
     }
 
-    std::vector<double> unsafe_ap;
-    for (const WorkloadRow &row : rows)
-        unsafe_ap.push_back(normalizedIpc(row, "Unsafe+AP"));
-    std::printf("\nUnsafe baseline + AP: %.3f (paper: ~1.005, \"a geomean "
+    std::printf("\nUnsafe baseline + AP: %.3f (paper: ~%.3f, \"a geomean "
                 "performance improvement of 0.5%%\")\n",
-                geomean(unsafe_ap));
+                gmeanNormalizedIpc(table, table.column("Unsafe+AP"), unsafe),
+                paper::reference::kUnsafeApGmean);
     return 0;
 }

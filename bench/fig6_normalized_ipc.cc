@@ -5,7 +5,7 @@
  * normalized to the unsafe baseline; plus the Unsafe+AP column the text
  * discusses (expected to be close to 1.0) and the GMEAN row.
  *
- * Usage: fig6_normalized_ipc [instructions-per-run] [--threads N]
+ * Usage: fig6_normalized_ipc [instructions-per-run] [--threads N] [--retries N]
  */
 
 #include "bench_common.hh"
@@ -21,36 +21,33 @@ main(int argc, char **argv)
                 "instructions/run ===\n\n",
                 static_cast<unsigned long long>(args.instructions));
 
-    const std::vector<WorkloadRow> rows =
-        runSuiteMatrix(args.instructions, args.threads, args.retries);
-
-    const std::vector<std::string> columns = {
-        "Unsafe+AP", "NDA-P", "NDA-P+AP", "STT", "STT+AP", "DoM", "DoM+AP",
-    };
+    const runner::MatrixTable table =
+        benchMatrix(args, workloads::evaluationSuite(),
+                    runner::paperColumns(args.instructions));
+    const std::size_t unsafe = table.column("Unsafe");
 
     std::printf("%-14s %-9s", "benchmark", "suite");
-    for (const std::string &column : columns)
-        std::printf(" %9s", column.c_str());
+    for (std::size_t col = unsafe + 1; col < table.labels.size(); ++col)
+        std::printf(" %9s", table.labels[col].c_str());
     std::printf("\n");
 
-    std::map<std::string, std::vector<double>> per_column;
-    for (const WorkloadRow &row : rows) {
-        std::printf("%-14s %-9s", row.name.c_str(), row.suite.c_str());
-        for (const std::string &column : columns) {
-            const double normalized = normalizedIpc(row, column);
-            per_column[column].push_back(normalized);
-            std::printf(" %9.3f", normalized);
-        }
+    for (const runner::MatrixRow &row : table.rows) {
+        std::printf("%-14s %-9s", row.workload.c_str(), row.suite.c_str());
+        for (std::size_t col = unsafe + 1; col < table.labels.size(); ++col)
+            std::printf(" %9.3f", runner::normalizedIpc(row, col, unsafe));
         std::printf("\n");
     }
 
     std::printf("%-14s %-9s", "GMEAN", "");
-    for (const std::string &column : columns)
-        std::printf(" %9.3f", geomean(per_column[column]));
+    for (std::size_t col = unsafe + 1; col < table.labels.size(); ++col)
+        std::printf(" %9.3f", runner::gmeanNormalizedIpc(table, col, unsafe));
     std::printf("\n");
 
-    std::printf("\nPaper reference (GMEAN): NDA-P 0.887 -> +AP 0.935 | "
-                "STT 0.905 -> +AP 0.951 | DoM 0.818 -> +AP 0.873 | "
-                "Unsafe+AP ~1.005\n");
+    std::printf("\nPaper reference (GMEAN):");
+    for (const paper::reference::SchemeGmean &paper :
+         paper::reference::kSchemeGmeans)
+        std::printf(" %s %.3f -> +AP %.3f |", paper.scheme, paper.base,
+                    paper.ap);
+    std::printf(" Unsafe+AP ~%.3f\n", paper::reference::kUnsafeApGmean);
     return 0;
 }

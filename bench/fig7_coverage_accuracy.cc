@@ -9,7 +9,8 @@
  * The paper notes coverage/accuracy are within 1% across the three
  * schemes; this bench also prints NDA-P+AP as a cross-check.
  *
- * Usage: fig7_coverage_accuracy [instructions-per-run]
+ * Usage: fig7_coverage_accuracy [instructions-per-run] [--threads N]
+ *                               [--retries N]
  */
 
 #include "bench_common.hh"
@@ -19,38 +20,27 @@ main(int argc, char **argv)
 {
     using namespace dgsim;
     using namespace dgsim::bench;
+    namespace reference = paper::reference;
 
-    const std::uint64_t instructions = instructionBudget(argc, argv);
+    const BenchArgs args = parseBenchArgs(argc, argv);
     std::printf("=== Figure 7: address-predictor coverage & accuracy "
                 "(DoM+AP), %llu instructions/run ===\n\n",
-                static_cast<unsigned long long>(instructions));
+                static_cast<unsigned long long>(args.instructions));
 
-    SimConfig base;
-    base.maxInstructions = instructions;
-    base.maxCycles = instructions * 200;
-    base.warmupInstructions = instructions / 3;
+    const runner::MatrixTable table = benchMatrix(
+        args, workloads::evaluationSuite(),
+        runner::paperColumns(args.instructions, {"DoM+AP", "NDA-P+AP"}));
 
     std::printf("%-14s %-9s %10s %10s | %10s %10s\n", "benchmark", "suite",
                 "coverage", "accuracy", "cov(NDA)", "acc(NDA)");
 
     std::vector<double> coverages;
     std::vector<double> accuracies;
-    for (const workloads::WorkloadDef &workload :
-         workloads::evaluationSuite()) {
-        const Program program = workload.build(0);
-
-        SimConfig dom_config = base;
-        dom_config.scheme = Scheme::Dom;
-        dom_config.addressPrediction = true;
-        const SimResult dom = runProgram(program, dom_config);
-
-        SimConfig nda_config = base;
-        nda_config.scheme = Scheme::NdaP;
-        nda_config.addressPrediction = true;
-        const SimResult nda = runProgram(program, nda_config);
-
+    for (const runner::MatrixRow &row : table.rows) {
+        const SimResult &dom = row.cells[0];
+        const SimResult &nda = row.cells[1];
         std::printf("%-14s %-9s %9.1f%% %9.1f%% | %9.1f%% %9.1f%%\n",
-                    workload.name.c_str(), workload.suite.c_str(),
+                    row.workload.c_str(), row.suite.c_str(),
                     100.0 * dom.dgCoverage, 100.0 * dom.dgAccuracy,
                     100.0 * nda.dgCoverage, 100.0 * nda.dgAccuracy);
         if (dom.dgCoverage > 0.0)
@@ -60,10 +50,13 @@ main(int argc, char **argv)
     }
 
     std::printf("\nGMEAN coverage (predicting workloads): %.1f%%  "
-                "(paper: ~35%% with max 49%%)\n",
-                100.0 * geomean(coverages));
+                "(paper: ~%.0f%% with max %.0f%%)\n",
+                100.0 * runner::geomean(coverages),
+                100.0 * reference::kCoverageGmean,
+                100.0 * reference::kCoverageMax);
     std::printf("GMEAN accuracy (predicting workloads): %.1f%%  "
-                "(paper: typically >=90%%)\n",
-                100.0 * geomean(accuracies));
+                "(paper: typically >=%.0f%%)\n",
+                100.0 * runner::geomean(accuracies),
+                100.0 * reference::kAccuracyTypical);
     return 0;
 }

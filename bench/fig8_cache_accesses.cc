@@ -7,8 +7,11 @@
  * L1 accesses but not L2 accesses (correct predictions down the
  * hierarchy).
  *
- * Usage: fig8_cache_accesses [instructions-per-run] [--threads N]
+ * Usage: fig8_cache_accesses [instructions-per-run] [--threads N] [--retries N]
  */
+
+#include <iterator>
+#include <utility>
 
 #include "bench_common.hh"
 
@@ -17,52 +20,47 @@ main(int argc, char **argv)
 {
     using namespace dgsim;
     using namespace dgsim::bench;
+    // Figure 8's three schemes, labelled as in Figures 1/6.
+    const auto &schemes = paper::reference::kSchemeGmeans;
 
     const BenchArgs args = parseBenchArgs(argc, argv);
     std::printf("=== Figure 8: normalized L1/L2 accesses (+AP vs base "
                 "scheme), %llu instructions/run ===\n\n",
                 static_cast<unsigned long long>(args.instructions));
 
-    const std::vector<WorkloadRow> rows =
-        runSuiteMatrix(args.instructions, args.threads, args.retries);
+    const runner::MatrixTable table =
+        benchMatrix(args, workloads::evaluationSuite(),
+                    runner::paperColumns(args.instructions));
 
-    const std::pair<const char *, const char *> schemes[] = {
-        {"NDA-P", "NDA-P+AP"},
-        {"STT", "STT+AP"},
-        {"DoM", "DoM+AP"},
-    };
-
-    auto ratio = [](std::uint64_t ap, std::uint64_t base) {
-        return base == 0 ? 0.0
-                         : static_cast<double>(ap) /
-                               static_cast<double>(base);
-    };
-
-    for (const char *level : {"L1", "L2"}) {
+    const std::pair<const char *, std::uint64_t SimResult::*> levels[] = {
+        {"L1", &SimResult::l1Accesses}, {"L2", &SimResult::l2Accesses}};
+    for (const auto &[level, accesses] : levels) {
         std::printf("--- %s accesses, +AP normalized to base scheme ---\n",
                     level);
         std::printf("%-14s", "benchmark");
         for (const auto &scheme : schemes)
-            std::printf(" %10s", scheme.second);
+            std::printf(" %10s", scheme.schemeAp);
         std::printf("\n");
-        std::map<std::string, std::vector<double>> per_scheme;
-        for (const WorkloadRow &row : rows) {
-            std::printf("%-14s", row.name.c_str());
-            for (const auto &scheme : schemes) {
-                const SimResult &base = row.byConfig.at(scheme.first);
-                const SimResult &ap = row.byConfig.at(scheme.second);
+        std::vector<double> per_scheme[std::size(schemes)];
+        for (const runner::MatrixRow &row : table.rows) {
+            std::printf("%-14s", row.workload.c_str());
+            for (std::size_t i = 0; i < std::size(schemes); ++i) {
+                const std::uint64_t base =
+                    row.cells[table.column(schemes[i].scheme)].*accesses;
+                const std::uint64_t ap =
+                    row.cells[table.column(schemes[i].schemeAp)].*accesses;
                 const double value =
-                    level[1] == '1'
-                        ? ratio(ap.l1Accesses, base.l1Accesses)
-                        : ratio(ap.l2Accesses, base.l2Accesses);
-                per_scheme[scheme.second].push_back(value);
+                    base == 0 ? 0.0
+                              : static_cast<double>(ap) /
+                                    static_cast<double>(base);
+                per_scheme[i].push_back(value);
                 std::printf(" %10.3f", value);
             }
             std::printf("\n");
         }
         std::printf("%-14s", "GMEAN");
-        for (const auto &scheme : schemes)
-            std::printf(" %10.3f", geomean(per_scheme[scheme.second]));
+        for (const std::vector<double> &values : per_scheme)
+            std::printf(" %10.3f", runner::geomean(values));
         std::printf("\n\n");
     }
 

@@ -2,74 +2,47 @@
  * @file
  * Runs the full SPEC-proxy evaluation suite across the scheme x AP
  * matrix and prints the normalized-IPC table — a compact programmatic
- * tour of the library's top-level API (suite registry, SimConfig,
- * runProgram, SimResult).
+ * tour of the library's top-level API (suite registry, runMatrix over
+ * the paper's columns, SimResult).
  *
  * Usage: scheme_comparison [instructions-per-run]   (default 40000)
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <vector>
 
-#include "sim/simulator.hh"
+#include "runner/paper_matrix.hh"
 #include "workloads/suite.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace dgsim;
+    using namespace dgsim::runner;
 
     const std::uint64_t instructions =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 40000;
 
-    SimConfig base;
-    base.maxInstructions = instructions;
-    base.maxCycles = instructions * 200;
-    base.warmupInstructions = instructions / 3;
+    const MatrixTable table = runMatrix(workloads::evaluationSuite(),
+                                        paperColumns(instructions));
+    const std::size_t unsafe = table.column("Unsafe");
 
     std::printf("%-14s %8s", "workload", "base-IPC");
-    const std::vector<SimConfig> configs = evaluationConfigs(base);
-    for (const SimConfig &config : configs) {
-        if (config.scheme != Scheme::Unsafe || config.addressPrediction)
-            std::printf(" %9s", config.label().c_str());
-    }
+    for (std::size_t col = unsafe + 1; col < table.labels.size(); ++col)
+        std::printf(" %9s", table.labels[col].c_str());
     std::printf("\n");
 
-    std::map<std::string, double> log_sums;
-    std::size_t count = 0;
-    for (const auto &workload : workloads::evaluationSuite()) {
-        const Program program = workload.build(0);
-        double base_ipc = 0.0;
-        std::vector<std::pair<std::string, double>> row;
-        for (const SimConfig &config : configs) {
-            const SimResult result = runProgram(program, config);
-            if (config.scheme == Scheme::Unsafe &&
-                !config.addressPrediction) {
-                base_ipc = result.ipc;
-            } else {
-                row.emplace_back(config.label(), result.ipc / base_ipc);
-            }
-        }
-        std::printf("%-14s %8.2f", workload.name.c_str(), base_ipc);
-        for (const auto &[label, normalized] : row) {
-            std::printf(" %9.3f", normalized);
-            log_sums[label] += std::log(normalized);
-        }
+    for (const MatrixRow &row : table.rows) {
+        std::printf("%-14s %8.2f", row.workload.c_str(),
+                    row.cells[unsafe].ipc);
+        for (std::size_t col = unsafe + 1; col < table.labels.size(); ++col)
+            std::printf(" %9.3f", normalizedIpc(row, col, unsafe));
         std::printf("\n");
-        ++count;
     }
 
     std::printf("%-14s %8s", "GMEAN", "");
-    for (const SimConfig &config : configs) {
-        if (config.scheme != Scheme::Unsafe || config.addressPrediction) {
-            std::printf(" %9.3f",
-                        std::exp(log_sums[config.label()] /
-                                 static_cast<double>(count)));
-        }
-    }
+    for (std::size_t col = unsafe + 1; col < table.labels.size(); ++col)
+        std::printf(" %9.3f", gmeanNormalizedIpc(table, col, unsafe));
     std::printf("\n");
     return 0;
 }

@@ -9,6 +9,7 @@
 #include "common/hash.hh"
 #include "fuzz/oracle.hh"
 #include "runner/json.hh"
+#include "runner/paper_matrix.hh"
 #include "workloads/suite.hh"
 
 namespace dgsim::runner
@@ -107,10 +108,7 @@ SimConfig
 campaignBaseConfig(std::uint64_t instructions, std::uint64_t ffwdInstructions,
                    std::uint64_t sampleInterval, std::uint64_t sampleDetail)
 {
-    SimConfig base;
-    base.maxInstructions = instructions;
-    base.maxCycles = instructions * 200;
-    base.warmupInstructions = instructions / 3;
+    SimConfig base = paperRunConfig(instructions);
     base.ffwdInstructions = ffwdInstructions;
     base.sampleInterval = sampleInterval;
     base.sampleDetail = sampleDetail;

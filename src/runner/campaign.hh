@@ -96,11 +96,11 @@ std::string schemeToken(Scheme scheme);
 Scheme schemeFromToken(const std::string &token);
 
 /**
- * The base SimConfig a campaign run control implies — the exact
- * derivation dgrun's normal path uses (cycle budget, warmup third,
- * warmup suppression under functional warming) so a campaign worker's
- * jobs are byte-identical to a single-process `dgrun` of the same
- * sweep.
+ * The base SimConfig a campaign run control implies: paperRunConfig()
+ * plus the fast-forward/sampling shape, with the warm-up suppressed
+ * under functional warming. dgrun's normal path uses it too, so a
+ * campaign worker's jobs are byte-identical to a single-process `dgrun`
+ * of the same sweep.
  */
 SimConfig campaignBaseConfig(std::uint64_t instructions,
                              std::uint64_t ffwdInstructions,

@@ -4,7 +4,8 @@
  * membership, disjoint + covering partitions, stability across
  * expansion order), the manifest round-trip and its drift detection,
  * and the headline guarantee — per-shard journals merged by identity
- * byte-compare to an uninterrupted single-process run.
+ * byte-compare to an uninterrupted single-process run. Also pins the
+ * shared run shape: campaign configs equal paperRunConfig()'s.
  */
 
 #include <gtest/gtest.h>
@@ -12,37 +13,20 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "runner/campaign.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/journal.hh"
-#include "runner/result_sink.hh"
 #include "runner/sweep.hh"
 #include "workloads/suite.hh"
+#include "sweep_fixtures.hh"
 
 namespace dgsim::runner
 {
 namespace
 {
-
-/** A small but real sweep: 2 L1-resident workloads x the full matrix. */
-SweepSpec
-smallSpec(std::uint64_t instructions)
-{
-    SimConfig base;
-    base.maxInstructions = instructions;
-    base.maxCycles = instructions * 200;
-    base.warmupInstructions = instructions / 3;
-
-    SweepSpec spec;
-    spec.workloads = {workloads::findWorkload("gobmk"),
-                      workloads::findWorkload("h264ref")};
-    spec.configs = evaluationConfigs(base);
-    return spec;
-}
 
 /**
  * Deterministic mock keyed on job *identity*, never on job.index:
@@ -64,16 +48,6 @@ identityMockResult(const Job &job)
     result.instructions = 500 + hash % 500;
     result.ipc = 0.5;
     return result;
-}
-
-std::string
-jsonlOf(const std::vector<JobOutcome> &outcomes)
-{
-    std::ostringstream ss;
-    JsonlSink sink(ss);
-    for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    return ss.str();
 }
 
 std::string
@@ -299,6 +273,59 @@ TEST(Merge, MissingJobsSurfaceInsteadOfVanishing)
     }
     EXPECT_EQ(present, mine.size());
     EXPECT_EQ(missing, jobs.size() - mine.size());
+}
+
+// One run shape: dgrun, campaign workers and the figure benches all
+// derive their configs from paperRunConfig(). If either derivation
+// forks, journals written by one stop satisfying the other.
+TEST(SharedRunShape, CampaignBaseConfigIsThePaperRunShape)
+{
+    for (std::uint64_t budget : {1ULL, 3ULL, 20'000ULL, 100'000ULL}) {
+        const SimConfig campaign = campaignBaseConfig(budget, 0, 0, 0);
+        const SimConfig paper = paperRunConfig(budget);
+        EXPECT_EQ(campaign.maxInstructions, paper.maxInstructions);
+        EXPECT_EQ(campaign.maxCycles, paper.maxCycles);
+        EXPECT_EQ(campaign.warmupInstructions, paper.warmupInstructions);
+
+        // Every other field that feeds job identity, through the key.
+        const std::vector<SimConfig> campaignConfigs =
+            evaluationConfigs(campaign);
+        const std::vector<SimConfig> paperConfigs = evaluationConfigs(paper);
+        for (std::size_t i = 0; i < paperConfigs.size(); ++i) {
+            Job campaignJob;
+            campaignJob.workload = "gobmk";
+            campaignJob.config = campaignConfigs[i];
+            Job paperJob = campaignJob;
+            paperJob.config = paperConfigs[i];
+            EXPECT_EQ(jobKey(campaignJob), jobKey(paperJob))
+                << "budget " << budget;
+        }
+    }
+}
+
+/** A matrix table as JSONL, one line per cell. */
+std::string
+tableJsonl(const MatrixTable &table)
+{
+    std::vector<JobOutcome> cells;
+    for (const MatrixRow &row : table.rows)
+        for (std::size_t col = 0; col < row.cells.size(); ++col)
+            cells.push_back({0, row.workload, row.suite, table.labels[col],
+                             true, "", row.cells[col]});
+    return jsonlOf(cells);
+}
+
+TEST(SharedRunShape, MatrixTableIsIndependentOfThreadCount)
+{
+    const std::vector<workloads::WorkloadDef> suite = {
+        workloads::findWorkload("gobmk"), workloads::findWorkload("mcf"),
+        workloads::findWorkload("h264ref")};
+    const std::vector<MatrixColumn> columns = paperColumns(5000);
+    const MatrixTable serial = runMatrix(suite, columns, {.threads = 1});
+    const MatrixTable parallel = runMatrix(suite, columns, {.threads = 3});
+    ASSERT_EQ(serial.rows.size(), suite.size());
+    ASSERT_EQ(serial.labels.size(), columns.size());
+    EXPECT_EQ(tableJsonl(serial), tableJsonl(parallel));
 }
 
 } // namespace

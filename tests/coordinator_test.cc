@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,10 +30,10 @@
 #include "runner/coordinator.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/journal.hh"
-#include "runner/result_sink.hh"
 #include "runner/sweep.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace.hh"
+#include "sweep_fixtures.hh"
 
 namespace dgsim::runner
 {
@@ -69,16 +68,6 @@ slowMockResult(const Job &job)
 {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     return identityMockResult(job);
-}
-
-std::string
-jsonlOf(const std::vector<JobOutcome> &outcomes)
-{
-    std::ostringstream ss;
-    JsonlSink sink(ss);
-    for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    return ss.str();
 }
 
 std::string

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.hh"
+#include "runner/paper_matrix.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
 
@@ -50,10 +51,7 @@ hex(std::uint64_t value)
 std::uint64_t
 matrixDigest(bool idle_skip)
 {
-    SimConfig base;
-    base.maxInstructions = kInstructions;
-    base.maxCycles = kInstructions * 200;
-    base.warmupInstructions = kInstructions / 3;
+    SimConfig base = runner::paperRunConfig(kInstructions);
     base.idleSkip = idle_skip;
     const std::vector<SimConfig> configs = evaluationConfigs(base);
 

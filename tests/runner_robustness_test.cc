@@ -19,7 +19,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,40 +27,14 @@
 #include "common/signals.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/journal.hh"
-#include "runner/result_sink.hh"
 #include "runner/sweep.hh"
 #include "workloads/suite.hh"
+#include "sweep_fixtures.hh"
 
 namespace dgsim::runner
 {
 namespace
 {
-
-/** A small but real sweep: 2 L1-resident workloads x the full matrix. */
-SweepSpec
-smallSpec(std::uint64_t instructions)
-{
-    SimConfig base;
-    base.maxInstructions = instructions;
-    base.maxCycles = instructions * 200;
-    base.warmupInstructions = instructions / 3;
-
-    SweepSpec spec;
-    spec.workloads = {workloads::findWorkload("gobmk"),
-                      workloads::findWorkload("h264ref")};
-    spec.configs = evaluationConfigs(base);
-    return spec;
-}
-
-std::string
-jsonlOf(const std::vector<JobOutcome> &outcomes)
-{
-    std::ostringstream ss;
-    JsonlSink sink(ss);
-    for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    return ss.str();
-}
 
 /** Thread-safe per-job execution counter shared by the mock executors. */
 class ExecutionLog

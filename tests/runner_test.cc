@@ -15,37 +15,12 @@
 #include "runner/sweep.hh"
 #include "runner/thread_pool.hh"
 #include "workloads/suite.hh"
+#include "sweep_fixtures.hh"
 
 namespace dgsim::runner
 {
 namespace
 {
-
-/** A small but real sweep: 2 L1-resident workloads x the full matrix. */
-SweepSpec
-smallSpec(std::uint64_t instructions)
-{
-    SimConfig base;
-    base.maxInstructions = instructions;
-    base.maxCycles = instructions * 200;
-    base.warmupInstructions = instructions / 3;
-
-    SweepSpec spec;
-    spec.workloads = {workloads::findWorkload("gobmk"),
-                      workloads::findWorkload("h264ref")};
-    spec.configs = evaluationConfigs(base);
-    return spec;
-}
-
-std::string
-jsonlOf(const std::vector<JobOutcome> &outcomes)
-{
-    std::ostringstream ss;
-    JsonlSink sink(ss);
-    for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    return ss.str();
-}
 
 TEST(ThreadPool, RunsEverySubmittedTask)
 {

@@ -33,6 +33,7 @@
 #include "telemetry/report.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace.hh"
+#include "sweep_fixtures.hh"
 
 namespace dgsim
 {
@@ -53,6 +54,7 @@ using runner::JsonlSink;
 using runner::RunnerOptions;
 using runner::claimsPath;
 using runner::jobKey;
+using runner::jsonlOf;
 using runner::jsonMember;
 using runner::manifestSpec;
 using runner::runCampaign;
@@ -110,16 +112,6 @@ slowMockResult(const Job &job)
 {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
     return identityMockResult(job);
-}
-
-std::string
-jsonlOf(const std::vector<JobOutcome> &outcomes)
-{
-    std::ostringstream ss;
-    JsonlSink sink(ss);
-    for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    return ss.str();
 }
 
 std::string
