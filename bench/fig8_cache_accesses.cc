@@ -49,10 +49,15 @@ main(int argc, char **argv)
                     row.cells[table.column(schemes[i].scheme)].*accesses;
                 const std::uint64_t ap =
                     row.cells[table.column(schemes[i].schemeAp)].*accesses;
+                // A run with no accesses at this level has no ratio:
+                // it prints "-" and stays out of the GMEAN, as fig7
+                // leaves out workloads that never predict.
+                if (base == 0) {
+                    std::printf(" %10s", "-");
+                    continue;
+                }
                 const double value =
-                    base == 0 ? 0.0
-                              : static_cast<double>(ap) /
-                                    static_cast<double>(base);
+                    static_cast<double>(ap) / static_cast<double>(base);
                 per_scheme[i].push_back(value);
                 std::printf(" %10.3f", value);
             }

@@ -17,18 +17,6 @@ namespace dgsim::runner
 namespace
 {
 
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::stringstream ss(text);
-    std::string part;
-    while (std::getline(ss, part, ','))
-        if (!part.empty())
-            parts.push_back(part);
-    return parts;
-}
-
 /** %.17g: shortest text strtod restores bit-exactly (rates are finite). */
 std::string
 doubleText(double value)
@@ -95,7 +83,7 @@ schemeFromToken(const std::string &token)
 {
     if (token == "unsafe")
         return Scheme::Unsafe;
-    if (token == "nda-p")
+    if (token == "nda-p" || token == "ndap" || token == "nda")
         return Scheme::NdaP;
     if (token == "stt")
         return Scheme::Stt;
@@ -104,20 +92,25 @@ schemeFromToken(const std::string &token)
     throw CampaignError("manifest: unknown scheme '" + token + "'");
 }
 
-SimConfig
-campaignBaseConfig(std::uint64_t instructions, std::uint64_t ffwdInstructions,
-                   std::uint64_t sampleInterval, std::uint64_t sampleDetail)
+std::vector<std::string>
+splitList(const std::string &text)
 {
-    SimConfig base = paperRunConfig(instructions);
-    base.ffwdInstructions = ffwdInstructions;
-    base.sampleInterval = sampleInterval;
-    base.sampleDetail = sampleDetail;
-    if (base.ffwdInstructions != 0 || base.sampleInterval != 0) {
-        // Functional warming replaces the warmup prefix: the detailed
-        // window starts measured from its first committed instruction.
-        base.warmupInstructions = 0;
-    }
-    return base;
+    std::vector<std::string> items;
+    std::stringstream ss(text);
+    std::string item;
+    while (std::getline(ss, item, ','))
+        if (!item.empty())
+            items.push_back(item);
+    return items;
+}
+
+std::string
+joinList(const std::vector<std::string> &items)
+{
+    std::string text;
+    for (const std::string &item : items)
+        text += (text.empty() ? "" : ",") + item;
+    return text;
 }
 
 SweepSpec
@@ -125,9 +118,8 @@ manifestSpec(const CampaignManifest &manifest)
 {
     if (manifest.fuzzCount != 0) {
         // Fuzzing campaign: the oracle's run budget is centralized in
-        // fuzz::oracleBaseConfig() so a campaign worker's job keys are
-        // byte-identical to a single-process `dgrun --fuzz` of the
-        // same (count, seed).
+        // fuzz::oracleBaseConfig(), so every fuzz job of a given
+        // (count, seed) has the same key in every mode.
         SweepSpec spec;
         SimConfig base = fuzz::oracleBaseConfig();
         base.jobTimeoutMs = manifest.jobTimeoutSec * 1000;
@@ -137,9 +129,15 @@ manifestSpec(const CampaignManifest &manifest)
         return spec;
     }
 
-    SimConfig base = campaignBaseConfig(
-        manifest.instructions, manifest.ffwdInstructions,
-        manifest.sampleInterval, manifest.sampleDetail);
+    SimConfig base = paperRunConfig(manifest.instructions);
+    base.ffwdInstructions = manifest.ffwdInstructions;
+    base.sampleInterval = manifest.sampleInterval;
+    base.sampleDetail = manifest.sampleDetail;
+    if (base.ffwdInstructions != 0 || base.sampleInterval != 0) {
+        // Functional warming replaces the warmup prefix: the detailed
+        // window starts measured from its first committed instruction.
+        base.warmupInstructions = 0;
+    }
     base.jobTimeoutMs = manifest.jobTimeoutSec * 1000;
 
     SweepSpec spec;
@@ -148,7 +146,7 @@ manifestSpec(const CampaignManifest &manifest)
             if (manifest.tier == "all" || workload.tier == manifest.tier)
                 spec.workloads.push_back(workload);
     } else {
-        for (const std::string &name : splitCommas(manifest.suite))
+        for (const std::string &name : splitList(manifest.suite))
             spec.workloads.push_back(workloads::findWorkload(name));
     }
 
@@ -163,8 +161,7 @@ manifestSpec(const CampaignManifest &manifest)
         throw CampaignError("manifest: ap must be on, off or both, got '" +
                             manifest.ap + "'");
 
-    const std::vector<std::string> schemeTokens =
-        splitCommas(manifest.schemes);
+    const std::vector<std::string> schemeTokens = splitList(manifest.schemes);
     if (schemeTokens.empty())
         throw CampaignError("manifest: needs at least one scheme");
     for (const std::string &token : schemeTokens) {
@@ -176,6 +173,17 @@ manifestSpec(const CampaignManifest &manifest)
         }
     }
     return spec;
+}
+
+RunnerOptions
+manifestRunnerOptions(const CampaignManifest &manifest)
+{
+    RunnerOptions options;
+    options.maxAttempts = manifest.retries + 1;
+    options.backoff.baseMs = manifest.retryBaseMs;
+    options.injectFailRate = manifest.injectFailRate;
+    options.injectFailSeed = manifest.injectFailSeed;
+    return options;
 }
 
 std::vector<Job>

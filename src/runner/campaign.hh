@@ -3,7 +3,7 @@
  * Sharded campaign support: deterministic job partitioning, the
  * campaign manifest, and identity-keyed journal merging.
  *
- * The substrate is PR 4's content-hashed job identity (jobKey()): a
+ * The substrate is the content-hashed job identity (jobKey()): a
  * job's key is a pure function of what the job computes, never of its
  * position in the expansion or of the process that ran it. Sharding is
  * therefore a pure function too — shardOf(key, N) — so any two
@@ -18,6 +18,14 @@
  * worker re-expands the spec and validates it against the manifest
  * before touching a journal, so two invocations with drifted specs
  * fail loudly instead of merging garbage.
+ *
+ * The manifest is also the one sweep request: dgrun parses its sweep
+ * flags straight into a CampaignManifest, and every mode (plain sweep,
+ * --list-jobs, --merge, --campaign-init, campaign workers) expands its
+ * jobs through manifestSpec() and its retry budgets through
+ * manifestRunnerOptions(). A plain sweep's journal therefore resumes
+ * and merges with a campaign's because both derive the same job keys
+ * from the same code.
  */
 
 #ifndef DGSIM_RUNNER_CAMPAIGN_HH
@@ -28,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "runner/experiment_runner.hh"
 #include "runner/journal.hh"
 #include "runner/sweep.hh"
 
@@ -48,7 +57,9 @@ class CampaignError : public std::runtime_error
  * The durable specification of one campaign: sweep spec + budgets +
  * seed + shard count + the expected job-key set, serialized as JSONL
  * (one header object, then one line per expected job). Written once by
- * `dgrun --campaign-init` and validated by every worker.
+ * `dgrun --campaign-init` and validated by every worker. Without the
+ * job keys it is the sweep request every dgrun mode parses its flags
+ * into.
  */
 struct CampaignManifest
 {
@@ -92,23 +103,33 @@ unsigned shardOf(const std::string &key, unsigned shards);
 /** Canonical CLI token of a scheme ("unsafe", "nda-p", "stt", "dom"). */
 std::string schemeToken(Scheme scheme);
 
-/** Inverse of schemeToken(); throws CampaignError on unknown names. */
+/**
+ * Inverse of schemeToken(), also accepting the aliases "nda" and "ndap"
+ * for NDA-P; throws CampaignError on unknown names.
+ */
 Scheme schemeFromToken(const std::string &token);
 
-/**
- * The base SimConfig a campaign run control implies: paperRunConfig()
- * plus the fast-forward/sampling shape, with the warm-up suppressed
- * under functional warming. dgrun's normal path uses it too, so a
- * campaign worker's jobs are byte-identical to a single-process `dgrun`
- * of the same sweep.
- */
-SimConfig campaignBaseConfig(std::uint64_t instructions,
-                             std::uint64_t ffwdInstructions,
-                             std::uint64_t sampleInterval,
-                             std::uint64_t sampleDetail);
+/** The non-empty items of a comma-separated manifest list. */
+std::vector<std::string> splitList(const std::string &text);
 
-/** Rebuild the sweep a manifest pins. Throws CampaignError. */
+/** Join @p items with commas: the inverse of splitList(). */
+std::string joinList(const std::vector<std::string> &items);
+
+/**
+ * The one derivation from a sweep request to its jobs: the workloads
+ * (the named suite, else the tier) times the scheme x AP configs, each
+ * on paperRunConfig() plus the fast-forward/sampling shape, with the
+ * warm-up suppressed under functional warming. A fuzzing manifest
+ * yields its candidates over fuzz::oracleBaseConfig(). Throws
+ * CampaignError.
+ */
 SweepSpec manifestSpec(const CampaignManifest &manifest);
+
+/**
+ * RunnerOptions carrying the manifest's retry budget, backoff base and
+ * fault-injection rate/seed; every other field keeps its default.
+ */
+RunnerOptions manifestRunnerOptions(const CampaignManifest &manifest);
 
 /**
  * Keep only @p shard of @p shards, re-indexed 0..n-1 (the runner

@@ -113,13 +113,9 @@ struct WorkerContext
 RunnerOptions
 workerRunnerOptions(const WorkerContext &ctx)
 {
-    RunnerOptions options;
+    RunnerOptions options = manifestRunnerOptions(*ctx.manifest);
     options.threads = 1;
     options.progress = false;
-    options.maxAttempts = ctx.manifest->retries + 1;
-    options.backoff.baseMs = ctx.manifest->retryBaseMs;
-    options.injectFailRate = ctx.manifest->injectFailRate;
-    options.injectFailSeed = ctx.manifest->injectFailSeed;
     options.execute = ctx.options->execute;
     options.cancel = &drainFlag();
     return options;

@@ -9,6 +9,7 @@
  * runner's ordering guarantee is held to.
  */
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -197,63 +199,42 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::stringstream ss(text);
-    std::string part;
-    while (std::getline(ss, part, ','))
-        if (!part.empty())
-            parts.push_back(part);
-    return parts;
-}
-
+/** A decimal count: positive, or also zero where @p allowZero. */
 std::uint64_t
-parseCount(const std::string &text, const char *flag)
+parseCount(const std::string &text, const char *flag, bool allowZero = false)
 {
     errno = 0;
     char *end = nullptr;
     const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno == ERANGE || value == 0)
-        usageError(std::string(flag) + " needs a positive integer, got '" +
+    // strtoull would take a sign or a space, and wrap "-1" to 2^64 - 1.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || (value == 0 && !allowZero))
+        usageError(std::string(flag) +
+                   (allowZero ? " needs a non-negative integer, got '"
+                              : " needs a positive integer, got '") +
                    text + "'");
     return value;
 }
 
-std::uint64_t
-parseCountOrZero(const std::string &text, const char *flag)
+/**
+ * parseCount() for an `unsigned` field: a value above @p max is a usage
+ * error instead of silently wrapping.
+ */
+unsigned
+parseUnsigned(const std::string &text, const char *flag, bool allowZero,
+              unsigned max = std::numeric_limits<unsigned>::max())
 {
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno == ERANGE)
-        usageError(std::string(flag) + " needs a non-negative integer, "
-                                       "got '" + text + "'");
-    return value;
-}
-
-Scheme
-parseScheme(const std::string &name)
-{
-    if (name == "unsafe")
-        return Scheme::Unsafe;
-    if (name == "nda-p" || name == "ndap" || name == "nda")
-        return Scheme::NdaP;
-    if (name == "stt")
-        return Scheme::Stt;
-    if (name == "dom")
-        return Scheme::Dom;
-    usageError("unknown scheme '" + name + "'");
+    const std::uint64_t value = parseCount(text, flag, allowZero);
+    if (value > max)
+        usageError(std::string(flag) + " must be at most " +
+                   std::to_string(max) + ", got '" + text + "'");
+    return static_cast<unsigned>(value);
 }
 
 struct Options
 {
-    std::vector<std::string> workloadNames; // Empty = whole suite.
-    std::vector<Scheme> schemes = {Scheme::Unsafe, Scheme::NdaP, Scheme::Stt,
-                                   Scheme::Dom};
-    std::vector<bool> apModes = {false, true};
-    std::uint64_t instructions = 100'000;
+    /** The sweep request in canonical tokens: every mode expands it. */
+    CampaignManifest sweep;
     unsigned threads = 0; // 0 = hardware concurrency.
     std::string jsonlPath;
     std::string csvPath;
@@ -261,23 +242,14 @@ struct Options
     bool idleSkip = true;
     bool quiet = false;
 
-    // Sampled simulation.
-    std::uint64_t ffwdInstructions = 0;
-    std::uint64_t sampleInterval = 0;
-    std::uint64_t sampleDetail = 0;
+    // Checkpoints (host-only: never part of a manifest).
     std::string ckptSavePath;
     std::uint64_t ckptSaveInst = 0;
     std::string ckptRestorePath;
-    std::string tier = "default";
 
     // Fault tolerance.
     std::string journalPath;
     std::string resumePath;
-    unsigned retries = 2;
-    std::uint64_t retryBaseMs = 100;
-    std::uint64_t jobTimeoutSec = 0;
-    double injectFailRate = 0.0;
-    std::uint64_t injectFailSeed = 0;
     bool hostMetrics = true;
     bool journalSync = false;
     double heartbeatSec = 0.0;
@@ -287,15 +259,12 @@ struct Options
     unsigned shardCount = 0; // 0 = no shard filter.
     bool listJobs = false;
     std::string campaignInitPath;
-    unsigned shards = 1;
     std::string campaignPath;
     unsigned workers = 0; // 0 = manifest shard count.
     std::vector<std::string> mergePaths;
     bool merge = false;
 
     // Leak fuzzing.
-    std::uint64_t fuzzCount = 0; // 0 = not a fuzzing run.
-    std::uint64_t fuzzSeed = 1;
     std::string fuzzDir = "fuzz_repros";
     std::string fuzzFindingsPath = "fuzz_findings.jsonl";
     unsigned fuzzMinimize = 2;
@@ -339,32 +308,32 @@ parseArgs(int argc, char **argv)
                             w.pattern.c_str());
             std::exit(0);
         } else if (arg == "--suite") {
-            options.workloadNames = splitCommas(next(i, "--suite"));
-            if (options.workloadNames.empty())
+            options.sweep.suite = joinList(splitList(next(i, "--suite")));
+            if (options.sweep.suite.empty())
                 usageError("--suite needs at least one workload name");
         } else if (arg == "--schemes") {
-            options.schemes.clear();
-            for (const std::string &name :
-                 splitCommas(next(i, "--schemes")))
-                options.schemes.push_back(parseScheme(name));
-            if (options.schemes.empty())
+            std::vector<std::string> tokens;
+            for (const std::string &name : splitList(next(i, "--schemes"))) {
+                try {
+                    tokens.push_back(schemeToken(schemeFromToken(name)));
+                } catch (const CampaignError &) {
+                    usageError("unknown scheme '" + name + "'");
+                }
+            }
+            if (tokens.empty())
                 usageError("--schemes needs at least one scheme");
+            options.sweep.schemes = joinList(tokens);
         } else if (arg == "--ap") {
-            const std::string mode = next(i, "--ap");
-            if (mode == "on")
-                options.apModes = {true};
-            else if (mode == "off")
-                options.apModes = {false};
-            else if (mode == "both")
-                options.apModes = {false, true};
-            else
+            options.sweep.ap = next(i, "--ap");
+            if (options.sweep.ap != "on" && options.sweep.ap != "off" &&
+                options.sweep.ap != "both")
                 usageError("--ap must be on, off or both");
         } else if (arg == "--instructions") {
-            options.instructions = parseCount(next(i, "--instructions"),
-                                              "--instructions");
+            options.sweep.instructions =
+                parseCount(next(i, "--instructions"), "--instructions");
         } else if (arg == "--threads") {
-            options.threads = static_cast<unsigned>(
-                parseCount(next(i, "--threads"), "--threads"));
+            options.threads =
+                parseUnsigned(next(i, "--threads"), "--threads", false);
         } else if (arg == "--jsonl") {
             options.jsonlPath = next(i, "--jsonl");
         } else if (arg == "--csv") {
@@ -376,15 +345,16 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--resume") {
             options.resumePath = next(i, "--resume");
         } else if (arg == "--retries") {
-            options.retries = static_cast<unsigned>(
-                parseCountOrZero(next(i, "--retries"), "--retries"));
+            // retries + 1 attempts must not wrap to zero.
+            options.sweep.retries =
+                parseUnsigned(next(i, "--retries"), "--retries", true,
+                              std::numeric_limits<unsigned>::max() - 1);
         } else if (arg == "--retry-base-ms") {
-            options.retryBaseMs =
-                parseCountOrZero(next(i, "--retry-base-ms"),
-                                 "--retry-base-ms");
+            options.sweep.retryBaseMs = parseCount(
+                next(i, "--retry-base-ms"), "--retry-base-ms", true);
         } else if (arg == "--job-timeout") {
-            options.jobTimeoutSec =
-                parseCountOrZero(next(i, "--job-timeout"), "--job-timeout");
+            options.sweep.jobTimeoutSec =
+                parseCount(next(i, "--job-timeout"), "--job-timeout", true);
         } else if (arg == "--inject-fail") {
             const std::string spec = next(i, "--inject-fail");
             const std::size_t comma = spec.find(',');
@@ -392,14 +362,14 @@ parseArgs(int argc, char **argv)
                 usageError("--inject-fail needs RATE,SEED (e.g. 0.3,42)");
             errno = 0;
             char *end = nullptr;
-            options.injectFailRate =
+            const double rate =
                 std::strtod(spec.substr(0, comma).c_str(), &end);
-            if (*end != '\0' || errno == ERANGE ||
-                options.injectFailRate < 0.0 || options.injectFailRate > 1.0)
+            if (*end != '\0' || errno == ERANGE || rate < 0.0 || rate > 1.0)
                 usageError("--inject-fail rate must be in [0, 1], got '" +
                            spec.substr(0, comma) + "'");
-            options.injectFailSeed =
-                parseCountOrZero(spec.substr(comma + 1), "--inject-fail seed");
+            options.sweep.injectFailRate = rate;
+            options.sweep.injectFailSeed = parseCount(
+                spec.substr(comma + 1), "--inject-fail seed", true);
         } else if (arg == "--no-host-metrics") {
             options.hostMetrics = false;
         } else if (arg == "--journal-sync") {
@@ -418,10 +388,10 @@ parseArgs(int argc, char **argv)
             const std::size_t slash = spec.find('/');
             if (slash == std::string::npos)
                 usageError("--shard needs I/N (e.g. 0/4)");
-            options.shardIndex = static_cast<unsigned>(parseCountOrZero(
-                spec.substr(0, slash), "--shard index"));
-            options.shardCount = static_cast<unsigned>(
-                parseCount(spec.substr(slash + 1), "--shard count"));
+            options.shardIndex =
+                parseUnsigned(spec.substr(0, slash), "--shard index", true);
+            options.shardCount =
+                parseUnsigned(spec.substr(slash + 1), "--shard count", false);
             if (options.shardIndex >= options.shardCount)
                 usageError("--shard index must be below the shard count "
                            "(0-based), got '" + spec + "'");
@@ -430,13 +400,13 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--campaign-init") {
             options.campaignInitPath = next(i, "--campaign-init");
         } else if (arg == "--shards") {
-            options.shards = static_cast<unsigned>(
-                parseCount(next(i, "--shards"), "--shards"));
+            options.sweep.shards =
+                parseUnsigned(next(i, "--shards"), "--shards", false);
         } else if (arg == "--campaign") {
             options.campaignPath = next(i, "--campaign");
         } else if (arg == "--workers") {
-            options.workers = static_cast<unsigned>(
-                parseCount(next(i, "--workers"), "--workers"));
+            options.workers =
+                parseUnsigned(next(i, "--workers"), "--workers", false);
         } else if (arg == "--merge") {
             options.merge = true;
             while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
@@ -444,10 +414,10 @@ parseArgs(int argc, char **argv)
             if (options.mergePaths.empty())
                 usageError("--merge needs at least one journal file");
         } else if (arg == "--fuzz") {
-            options.fuzzCount = parseCount(next(i, "--fuzz"), "--fuzz");
+            options.sweep.fuzzCount = parseCount(next(i, "--fuzz"), "--fuzz");
         } else if (arg == "--fuzz-seed") {
-            options.fuzzSeed =
-                parseCountOrZero(next(i, "--fuzz-seed"), "--fuzz-seed");
+            options.sweep.fuzzSeed =
+                parseCount(next(i, "--fuzz-seed"), "--fuzz-seed", true);
         } else if (arg == "--fuzz-dir") {
             options.fuzzDir = next(i, "--fuzz-dir");
             if (options.fuzzDir.empty())
@@ -457,8 +427,8 @@ parseArgs(int argc, char **argv)
             if (options.fuzzFindingsPath.empty())
                 usageError("--fuzz-findings needs a file path");
         } else if (arg == "--fuzz-minimize") {
-            options.fuzzMinimize = static_cast<unsigned>(parseCountOrZero(
-                next(i, "--fuzz-minimize"), "--fuzz-minimize"));
+            options.fuzzMinimize = parseUnsigned(
+                next(i, "--fuzz-minimize"), "--fuzz-minimize", true);
         } else if (arg == "--fuzz-replay") {
             options.fuzzReplayPath = next(i, "--fuzz-replay");
         } else if (arg == "--telemetry") {
@@ -495,27 +465,27 @@ parseArgs(int argc, char **argv)
             options.tracePath = next(i, "--trace");
         } else if (arg == "--trace-start") {
             options.traceStart =
-                parseCountOrZero(next(i, "--trace-start"), "--trace-start");
+                parseCount(next(i, "--trace-start"), "--trace-start", true);
         } else if (arg == "--trace-insts") {
             options.traceInsts =
-                parseCountOrZero(next(i, "--trace-insts"), "--trace-insts");
+                parseCount(next(i, "--trace-insts"), "--trace-insts", true);
         } else if (arg == "--watchdog") {
             options.watchdogCycles =
-                parseCountOrZero(next(i, "--watchdog"), "--watchdog");
+                parseCount(next(i, "--watchdog"), "--watchdog", true);
         } else if (arg == "--ffwd") {
-            options.ffwdInstructions = parseCount(next(i, "--ffwd"),
-                                                  "--ffwd");
+            options.sweep.ffwdInstructions =
+                parseCount(next(i, "--ffwd"), "--ffwd");
         } else if (arg == "--sample") {
             const std::string spec = next(i, "--sample");
             const std::size_t comma = spec.find(',');
             if (comma == std::string::npos)
                 usageError("--sample needs INTERVAL,DETAIL "
                            "(e.g. 100000,10000)");
-            options.sampleInterval =
+            options.sweep.sampleInterval =
                 parseCount(spec.substr(0, comma), "--sample interval");
-            options.sampleDetail =
+            options.sweep.sampleDetail =
                 parseCount(spec.substr(comma + 1), "--sample detail");
-            if (options.sampleDetail > options.sampleInterval)
+            if (options.sweep.sampleDetail > options.sweep.sampleInterval)
                 usageError("--sample DETAIL must not exceed INTERVAL");
         } else if (arg == "--ckpt-save") {
             const std::string spec = next(i, "--ckpt-save");
@@ -529,9 +499,9 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--ckpt-restore") {
             options.ckptRestorePath = next(i, "--ckpt-restore");
         } else if (arg == "--tier") {
-            options.tier = next(i, "--tier");
-            if (options.tier != "default" && options.tier != "long" &&
-                options.tier != "all")
+            options.sweep.tier = next(i, "--tier");
+            if (options.sweep.tier != "default" &&
+                options.sweep.tier != "long" && options.sweep.tier != "all")
                 usageError("--tier must be default, long or all");
         } else if (arg == "--wedge") {
             options.wedge = true;
@@ -544,70 +514,45 @@ parseArgs(int argc, char **argv)
     return options;
 }
 
+/**
+ * The sweep the flags select: manifestSpec() of the sweep request, the
+ * derivation campaign workers use too, so job keys agree by
+ * construction. Then the host-only knobs no manifest records are set
+ * on each config; fuzz jobs keep the oracle's config untouched.
+ */
 SweepSpec
 buildSpec(const Options &options)
 {
-    if (options.fuzzCount != 0) {
-        if (!options.workloadNames.empty() || !options.tracePath.empty() ||
+    if (options.sweep.fuzzCount != 0) {
+        if (!options.sweep.suite.empty() || !options.tracePath.empty() ||
             !options.ckptSavePath.empty() ||
             !options.ckptRestorePath.empty() || options.wedge ||
-            options.ffwdInstructions != 0 || options.sampleInterval != 0)
+            options.sweep.ffwdInstructions != 0 ||
+            options.sweep.sampleInterval != 0)
             usageError("--fuzz synthesizes its own jobs; it does not "
                        "combine with --suite/--trace/--ckpt-*/--wedge/"
                        "--ffwd/--sample");
-        // Mirrors manifestSpec()'s fuzz branch exactly: job identity
-        // must be byte-identical between `dgrun --fuzz` and a campaign
-        // of the same (count, seed).
-        SweepSpec spec;
-        SimConfig base = fuzz::oracleBaseConfig();
-        base.jobTimeoutMs = options.jobTimeoutSec * 1000;
-        spec.configs = {base};
-        spec.fuzzCount = options.fuzzCount;
-        spec.fuzzSeed = options.fuzzSeed;
-        return spec;
+        return manifestSpec(options.sweep);
     }
 
-    // The shared run-control derivation: campaign workers rebuild their
-    // jobs from the manifest through the very same function, so a
-    // campaign's jobs are byte-identical to a plain dgrun of the sweep.
-    SimConfig base = campaignBaseConfig(
-        options.instructions, options.ffwdInstructions,
-        options.sampleInterval, options.sampleDetail);
-    base.ckptSavePath = options.ckptSavePath;
-    base.ckptSaveInst = options.ckptSaveInst;
-    base.ckptRestorePath = options.ckptRestorePath;
-    if (!base.ckptRestorePath.empty()) {
-        // Functional warming replaces the warmup prefix: the detailed
-        // window starts measured from its first committed instruction.
-        base.warmupInstructions = 0;
-    }
-    base.tracePath = options.tracePath;
-    base.traceStartInst = options.traceStart;
-    base.traceMaxInsts = options.traceInsts;
-    base.watchdogCycles = options.watchdogCycles;
-    base.wedgeNeverResolve = options.wedge;
-    base.jobTimeoutMs = options.jobTimeoutSec * 1000;
-    // Host-level knob (like --threads): never part of job identity or
-    // campaign manifests, so a --no-skip run byte-compares against a
-    // skipping one.
-    base.idleSkip = options.idleSkip;
-
-    SweepSpec spec;
-    if (options.workloadNames.empty()) {
-        for (const auto &workload : workloads::extendedSuite())
-            if (options.tier == "all" || workload.tier == options.tier)
-                spec.workloads.push_back(workload);
-    } else {
-        for (const std::string &name : options.workloadNames)
-            spec.workloads.push_back(workloads::findWorkload(name));
-    }
-    for (Scheme scheme : options.schemes) {
-        for (bool ap : options.apModes) {
-            SimConfig config = base;
-            config.scheme = scheme;
-            config.addressPrediction = ap;
-            spec.configs.push_back(config);
-        }
+    SweepSpec spec = manifestSpec(options.sweep);
+    for (SimConfig &config : spec.configs) {
+        config.ckptSavePath = options.ckptSavePath;
+        config.ckptSaveInst = options.ckptSaveInst;
+        config.ckptRestorePath = options.ckptRestorePath;
+        // A restored checkpoint is functionally warmed as well: the
+        // detailed window is measured from its first instruction.
+        if (!config.ckptRestorePath.empty())
+            config.warmupInstructions = 0;
+        config.tracePath = options.tracePath;
+        config.traceStartInst = options.traceStart;
+        config.traceMaxInsts = options.traceInsts;
+        config.watchdogCycles = options.watchdogCycles;
+        config.wedgeNeverResolve = options.wedge;
+        // Host-level knob (like --threads): never part of job identity
+        // or campaign manifests, so a --no-skip run byte-compares
+        // against a skipping one.
+        config.idleSkip = options.idleSkip;
     }
     return spec;
 }
@@ -627,14 +572,10 @@ serializeAll(const std::vector<JobOutcome> &outcomes)
 RunnerOptions
 runnerOptions(const Options &options, unsigned threads)
 {
-    RunnerOptions ropts;
+    RunnerOptions ropts = manifestRunnerOptions(options.sweep);
     ropts.threads = threads;
     ropts.progress = !options.quiet;
     ropts.heartbeatSec = options.heartbeatSec;
-    ropts.maxAttempts = options.retries + 1;
-    ropts.backoff.baseMs = options.retryBaseMs;
-    ropts.injectFailRate = options.injectFailRate;
-    ropts.injectFailSeed = options.injectFailSeed;
     ropts.journalPath = !options.resumePath.empty() ? options.resumePath
                                                     : options.journalPath;
     ropts.journalSync = options.journalSync;
@@ -731,20 +672,21 @@ writeSinkFiles(const std::vector<JobOutcome> &outcomes,
 }
 
 /**
- * The fuzz post-pass (repros, minimization, findings JSONL) over
- * index-ordered outcomes of a fuzz sweep (@p fuzzCount != 0). Returns
+ * The fuzz post-pass (repros, minimization, findings JSONL) over the
+ * index-ordered outcomes of @p sweep, when it is a fuzz sweep. Returns
  * 4 — the "confirmed secure-scheme leak" exit code — when any finding
  * survived, else @p exitCode: a leak dominates every other exit
  * condition, as it is the one result the campaign exists to find.
  */
 int
-runFuzzPost(const std::vector<JobOutcome> &outcomes, std::uint64_t fuzzCount,
-            std::uint64_t fuzzSeed, const Options &options, int exitCode)
+runFuzzPost(const std::vector<JobOutcome> &outcomes,
+            const CampaignManifest &sweep, const Options &options,
+            int exitCode)
 {
-    if (fuzzCount == 0)
+    if (sweep.fuzzCount == 0)
         return exitCode;
     fuzz::PostOptions popts;
-    popts.fuzzSeed = fuzzSeed;
+    popts.fuzzSeed = sweep.fuzzSeed;
     popts.reproDir = options.fuzzDir;
     popts.findingsPath = options.fuzzFindingsPath;
     popts.minimizeExpected = options.fuzzMinimize;
@@ -760,7 +702,7 @@ runFuzzReplay(const Options &options)
 {
     const fuzz::AttackerIr ir = fuzz::loadDgasm(options.fuzzReplayPath);
     const std::vector<security::SecretPair> pairs =
-        security::defaultSecretPairs(options.fuzzSeed);
+        security::defaultSecretPairs(options.sweep.fuzzSeed);
     const std::vector<fuzz::ConfigVerdict> verdicts =
         fuzz::evaluateCandidate(ir, fuzz::oracleBaseConfig(), pairs);
 
@@ -799,58 +741,18 @@ runFuzzReplay(const Options &options)
     return exitCode;
 }
 
-/** The campaign manifest this invocation's sweep flags describe. */
-CampaignManifest
-manifestFromOptions(const Options &options)
+/** --campaign-init: pin the sweep into a manifest and exit. */
+int
+runCampaignInit(const Options &options)
 {
     if (!options.ckptSavePath.empty() || !options.ckptRestorePath.empty() ||
         !options.tracePath.empty() || options.wedge)
         usageError("campaigns do not capture --ckpt-save/--ckpt-restore/"
                    "--trace/--wedge; run those as single jobs");
 
-    CampaignManifest manifest;
-    std::string suite;
-    for (const std::string &name : options.workloadNames) {
-        if (!suite.empty())
-            suite += ',';
-        suite += name;
-    }
-    manifest.suite = suite;
-    manifest.tier = options.tier;
-    std::string schemes;
-    for (Scheme scheme : options.schemes) {
-        if (!schemes.empty())
-            schemes += ',';
-        schemes += schemeToken(scheme);
-    }
-    manifest.schemes = schemes;
-    manifest.ap = options.apModes.size() == 2
-                      ? "both"
-                      : (options.apModes[0] ? "on" : "off");
-    manifest.instructions = options.instructions;
-    manifest.ffwdInstructions = options.ffwdInstructions;
-    manifest.sampleInterval = options.sampleInterval;
-    manifest.sampleDetail = options.sampleDetail;
-    manifest.fuzzCount = options.fuzzCount;
-    manifest.fuzzSeed = options.fuzzSeed;
-    manifest.retries = options.retries;
-    manifest.retryBaseMs = options.retryBaseMs;
-    manifest.jobTimeoutSec = options.jobTimeoutSec;
-    manifest.injectFailRate = options.injectFailRate;
-    manifest.injectFailSeed = options.injectFailSeed;
-    return manifest;
-}
-
-/** --campaign-init: pin the sweep into a manifest and exit. */
-int
-runCampaignInit(const Options &options)
-{
-    CampaignManifest manifest = manifestFromOptions(options);
+    CampaignManifest manifest = options.sweep;
     manifest.name = options.campaignInitPath;
-    manifest.shards = options.shards;
-
-    const SweepSpec spec = manifestSpec(manifest);
-    const std::vector<Job> jobs = spec.expand();
+    const std::vector<Job> jobs = manifestSpec(manifest).expand();
     manifest.jobKeys.reserve(jobs.size());
     for (const Job &job : jobs)
         manifest.jobKeys.push_back(jobKey(job));
@@ -870,6 +772,23 @@ runCampaignInit(const Options &options)
 }
 
 /**
+ * The sweep --list-jobs and --merge select, expanded: --campaign F's
+ * manifest, checked against its own job keys, else the flags' sweep.
+ */
+std::pair<CampaignManifest, std::vector<Job>>
+selectedSweep(const Options &options)
+{
+    if (options.campaignPath.empty())
+        return {options.sweep, buildSpec(options).expand()};
+    CampaignManifest manifest = loadManifest(options.campaignPath);
+    std::vector<Job> jobs = manifestSpec(manifest).expand();
+    const std::string err = validateManifest(manifest, jobs);
+    if (!err.empty())
+        usageError("manifest mismatch: " + err);
+    return {std::move(manifest), std::move(jobs)};
+}
+
+/**
  * --list-jobs: shard membership of the selected sweep, then exit. With
  * --campaign F the sweep and shard count come from the manifest, so the
  * listing shows exactly what the campaign's workers will run.
@@ -877,23 +796,12 @@ runCampaignInit(const Options &options)
 int
 runListJobs(const Options &options)
 {
-    std::vector<Job> jobs;
-    unsigned shards = options.shardCount != 0 ? options.shardCount : 1;
-    if (!options.campaignPath.empty()) {
-        const CampaignManifest manifest =
-            loadManifest(options.campaignPath);
-        jobs = manifestSpec(manifest).expand();
-        const std::string err = validateManifest(manifest, jobs);
-        if (!err.empty())
-            usageError("manifest mismatch: " + err);
-        if (options.shardCount == 0)
-            shards = manifest.shards;
-    } else {
-        jobs = buildSpec(options).expand();
+    auto [sweep, jobs] = selectedSweep(options);
+    unsigned shards = options.campaignPath.empty() ? 1 : sweep.shards;
+    if (options.shardCount != 0) {
+        shards = options.shardCount;
+        jobs = filterShard(std::move(jobs), options.shardIndex, shards);
     }
-    if (options.shardCount != 0)
-        jobs = filterShard(std::move(jobs), options.shardIndex,
-                           options.shardCount);
     std::printf("%-5s %-14s %-10s %s\n", "shard", "workload", "config",
                 "key");
     for (const Job &job : jobs) {
@@ -914,22 +822,7 @@ runListJobs(const Options &options)
 int
 runMergeMode(const Options &options, SinkFiles &sinks)
 {
-    std::vector<Job> jobs;
-    std::uint64_t fuzzCount = options.fuzzCount;
-    std::uint64_t fuzzSeed = options.fuzzSeed;
-    if (!options.campaignPath.empty()) {
-        const CampaignManifest manifest =
-            loadManifest(options.campaignPath);
-        jobs = manifestSpec(manifest).expand();
-        const std::string err = validateManifest(manifest, jobs);
-        if (!err.empty())
-            usageError("manifest mismatch: " + err);
-        fuzzCount = manifest.fuzzCount;
-        fuzzSeed = manifest.fuzzSeed;
-    } else {
-        jobs = buildSpec(options).expand();
-    }
-
+    const auto [sweep, jobs] = selectedSweep(options);
     const JournalMap merged = mergeJournals(options.mergePaths);
     const std::vector<JobOutcome> outcomes = orderOutcomes(merged, jobs);
 
@@ -959,7 +852,7 @@ runMergeMode(const Options &options, SinkFiles &sinks)
     int exitCode = printSummaryTable(outcomes);
     if (missing != 0)
         exitCode = 1;
-    return runFuzzPost(outcomes, fuzzCount, fuzzSeed, options, exitCode);
+    return runFuzzPost(outcomes, sweep, options, exitCode);
 }
 
 /** --campaign: the forked work-stealing coordinator. */
@@ -1003,8 +896,7 @@ runCampaignMode(const Options &options, SinkFiles &sinks)
                      options.campaignPath.c_str());
         exitCode = 1;
     }
-    exitCode = runFuzzPost(report.outcomes, manifest.fuzzCount,
-                           manifest.fuzzSeed, options, exitCode);
+    exitCode = runFuzzPost(report.outcomes, manifest, options, exitCode);
     if (report.drained)
         return 130;
     return exitCode;
@@ -1137,7 +1029,8 @@ runSweepMode(const Options &options, SinkFiles &sinks)
                      "[dgrun] %zu workloads x %zu configs = %zu jobs, "
                      "%llu instructions each, %u thread(s)\n",
                      spec.workloads.size(), spec.configs.size(), jobs.size(),
-                     static_cast<unsigned long long>(options.instructions),
+                     static_cast<unsigned long long>(
+                         options.sweep.instructions),
                      threads);
 
     // SIGINT/SIGTERM drain: stop dispatching, finish in-flight jobs,
@@ -1203,8 +1096,7 @@ runSweepMode(const Options &options, SinkFiles &sinks)
         }
     }
 
-    exitCode = runFuzzPost(outcomes, spec.fuzzCount, spec.fuzzSeed, options,
-                           exitCode);
+    exitCode = runFuzzPost(outcomes, options.sweep, options, exitCode);
 
     // Fault-tolerance accounting.
     std::size_t resumedCount = 0, retriedCount = 0, interruptedCount = 0;

@@ -5,7 +5,9 @@
  * expansion order), the manifest round-trip and its drift detection,
  * and the headline guarantee — per-shard journals merged by identity
  * byte-compare to an uninterrupted single-process run. Also pins the
- * shared run shape: campaign configs equal paperRunConfig()'s.
+ * shared run shape (manifestSpec() configs equal paperRunConfig()'s,
+ * functional warming zeroes the warm-up) and the budgets
+ * manifestRunnerOptions() carries.
  */
 
 #include <gtest/gtest.h>
@@ -278,29 +280,71 @@ TEST(Merge, MissingJobsSurfaceInsteadOfVanishing)
 // One run shape: dgrun, campaign workers and the figure benches all
 // derive their configs from paperRunConfig(). If either derivation
 // forks, journals written by one stop satisfying the other.
-TEST(SharedRunShape, CampaignBaseConfigIsThePaperRunShape)
+TEST(SharedRunShape, ManifestSpecIsThePaperRunShape)
 {
     for (std::uint64_t budget : {1ULL, 3ULL, 20'000ULL, 100'000ULL}) {
-        const SimConfig campaign = campaignBaseConfig(budget, 0, 0, 0);
-        const SimConfig paper = paperRunConfig(budget);
-        EXPECT_EQ(campaign.maxInstructions, paper.maxInstructions);
-        EXPECT_EQ(campaign.maxCycles, paper.maxCycles);
-        EXPECT_EQ(campaign.warmupInstructions, paper.warmupInstructions);
-
-        // Every other field that feeds job identity, through the key.
+        CampaignManifest manifest;
+        manifest.suite = "gobmk";
+        manifest.instructions = budget;
         const std::vector<SimConfig> campaignConfigs =
-            evaluationConfigs(campaign);
-        const std::vector<SimConfig> paperConfigs = evaluationConfigs(paper);
+            manifestSpec(manifest).configs;
+        const std::vector<SimConfig> paperConfigs =
+            evaluationConfigs(paperRunConfig(budget));
+        ASSERT_EQ(campaignConfigs.size(), paperConfigs.size());
         for (std::size_t i = 0; i < paperConfigs.size(); ++i) {
+            const SimConfig &campaign = campaignConfigs[i];
+            const SimConfig &paper = paperConfigs[i];
+            EXPECT_EQ(campaign.maxInstructions, paper.maxInstructions);
+            EXPECT_EQ(campaign.maxCycles, paper.maxCycles);
+            EXPECT_EQ(campaign.warmupInstructions, paper.warmupInstructions);
+
+            // Every other field that feeds job identity, through the key.
             Job campaignJob;
             campaignJob.workload = "gobmk";
-            campaignJob.config = campaignConfigs[i];
+            campaignJob.config = campaign;
             Job paperJob = campaignJob;
-            paperJob.config = paperConfigs[i];
+            paperJob.config = paper;
             EXPECT_EQ(jobKey(campaignJob), jobKey(paperJob))
                 << "budget " << budget;
         }
     }
+}
+
+// Functional warming (fast-forward or sampling) replaces the warm-up
+// prefix; a plain detailed run keeps the paper's budget / 3.
+TEST(SharedRunShape, FunctionalWarmingZeroesTheWarmup)
+{
+    CampaignManifest plain;
+    plain.suite = "mcf";
+    plain.instructions = 30'000;
+    CampaignManifest ffwd = plain;
+    ffwd.ffwdInstructions = 50'000;
+    CampaignManifest sampled = plain;
+    sampled.sampleInterval = 10'000;
+    sampled.sampleDetail = 1'000;
+
+    for (const SimConfig &config : manifestSpec(plain).configs)
+        EXPECT_EQ(config.warmupInstructions, 10'000u);
+    for (const CampaignManifest &warmed : {ffwd, sampled}) {
+        const SweepSpec spec = manifestSpec(warmed);
+        ASSERT_EQ(spec.configs.size(), 8u);
+        for (const SimConfig &config : spec.configs)
+            EXPECT_EQ(config.warmupInstructions, 0u);
+    }
+}
+
+TEST(SharedRunShape, ManifestRunnerOptionsCarryTheBudgets)
+{
+    CampaignManifest manifest;
+    manifest.retries = 7;
+    manifest.retryBaseMs = 25;
+    manifest.injectFailRate = 0.3;
+    manifest.injectFailSeed = 42;
+    const RunnerOptions options = manifestRunnerOptions(manifest);
+    EXPECT_EQ(options.maxAttempts, 8u);
+    EXPECT_EQ(options.backoff.baseMs, 25u);
+    EXPECT_EQ(options.injectFailRate, 0.3);
+    EXPECT_EQ(options.injectFailSeed, 42u);
 }
 
 /** A matrix table as JSONL, one line per cell. */
