@@ -5,7 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -255,6 +255,49 @@ workerMain(WorkerContext ctx)
     return 0;
 }
 
+/**
+ * Publish the campaign gauges from the merged worker journals and this
+ * pass's claims (@p stolenEarlier: steals in rotated-away claims).
+ * Both loaders tolerate a live writer's torn final line, so this runs
+ * as the sampler while workers append, and once after the last pass.
+ */
+void
+publishCampaignGauges(const WorkerContext &ctx, const CampaignReport &report,
+                      std::size_t stolenEarlier, std::size_t alive)
+{
+    if (!telemetry::enabled())
+        return;
+    const JournalMap merged =
+        mergeJournals(allWorkerJournals(ctx.manifestPath, ctx.workers));
+    std::size_t failed = 0, retries = 0;
+    for (const auto &entry : merged) {
+        failed += !entry.second.ok;
+        retries += entry.second.attempts > 1;
+    }
+    std::size_t stolen = stolenEarlier;
+    for (const Claim &claim : loadClaims(claimsPath(ctx.manifestPath)))
+        stolen += claim.shard % ctx.workers != claim.worker;
+    std::vector<std::size_t> outstanding(ctx.manifest->shards, 0);
+    for (std::size_t i = 0; i < ctx.keys.size(); ++i)
+        outstanding[ctx.shards[i]] += merged.find(ctx.keys[i]) == merged.end();
+
+    const auto gauge = [](const std::string &name, std::size_t value) {
+        telemetry::metricSet(name, static_cast<double>(value));
+    };
+    gauge("dgsim_campaign_jobs_total", report.total);
+    gauge("dgsim_campaign_jobs_done", merged.size());
+    gauge("dgsim_campaign_jobs_failed", failed);
+    gauge("dgsim_campaign_jobs_retried", retries);
+    gauge("dgsim_campaign_jobs_stolen", stolen);
+    gauge("dgsim_campaign_workers_alive", alive);
+    gauge("dgsim_campaign_worker_deaths", report.workerDeaths);
+    gauge("dgsim_campaign_passes", report.passes);
+    for (std::size_t shard = 0; shard < outstanding.size(); ++shard)
+        gauge("dgsim_shard_outstanding{shard=\"" + std::to_string(shard) +
+                  "\"}",
+              outstanding[shard]);
+}
+
 } // namespace
 
 CampaignReport
@@ -292,12 +335,17 @@ runCampaign(const std::string &manifestPath,
 
     CampaignReport report;
     report.total = ctx.jobs.size();
+    // Sampler inputs: stolenEarlier changes only between passes, while
+    // no sampler is installed; alive also while workers run.
+    std::size_t stolenEarlier = 0;
+    std::atomic<std::size_t> alive{0};
 
     telemetry::setWorkerCount(ctx.workers);
 
     JournalMap merged;
     for (unsigned pass = 1; pass <= options.maxPasses; ++pass) {
         report.passes = pass;
+        stolenEarlier = report.stolen;
 
         // Pass 1 is the campaign proper; later passes exist only to
         // recover work lost to dead workers.
@@ -345,124 +393,49 @@ runCampaign(const std::string &manifestPath,
             pids.push_back(pid);
         }
 
-        // Reap workers, emitting the parent-side heartbeat meanwhile.
+        // Reap workers while the reporter samples the campaign gauges.
         unsigned deathsThisPass = 0;
         bool drainedWorker = false;
-        auto lastBeat = std::chrono::steady_clock::now();
-        auto lastGauges = lastBeat;
         std::vector<bool> reaped(pids.size(), false);
-        std::size_t alive = pids.size();
-        while (alive > 0) {
-            bool progressed = false;
-            for (std::size_t i = 0; i < pids.size(); ++i) {
-                if (reaped[i])
-                    continue;
-                int status = 0;
-                const pid_t p = ::waitpid(pids[i], &status, WNOHANG);
-                if (p == 0)
-                    continue;
-                reaped[i] = true;
-                --alive;
-                progressed = true;
-                if (p < 0)
-                    continue;
-                if (WIFSIGNALED(status)) {
-                    ++deathsThisPass;
-                } else if (WIFEXITED(status)) {
-                    const int code = WEXITSTATUS(status);
-                    if (code == 130)
-                        drainedWorker = true;
-                    else if (code == 3)
-                        throw CampaignError(
-                            "worker " + std::to_string(i) +
-                            " rejected manifest '" + manifestPath + "'");
-                    else if (code != 0)
+        alive = pids.size();
+        {
+            const telemetry::ScopedSampler sampler([&] {
+                publishCampaignGauges(ctx, report, stolenEarlier, alive);
+            });
+            while (alive > 0) {
+                bool progressed = false;
+                for (std::size_t i = 0; i < pids.size(); ++i) {
+                    if (reaped[i])
+                        continue;
+                    int status = 0;
+                    const pid_t p = ::waitpid(pids[i], &status, WNOHANG);
+                    if (p == 0)
+                        continue;
+                    reaped[i] = true;
+                    --alive;
+                    progressed = true;
+                    if (p < 0)
+                        continue;
+                    if (WIFSIGNALED(status)) {
                         ++deathsThisPass;
+                    } else if (WIFEXITED(status)) {
+                        const int code = WEXITSTATUS(status);
+                        if (code == 130)
+                            drainedWorker = true;
+                        else if (code == 3)
+                            throw CampaignError(
+                                "worker " + std::to_string(i) +
+                                " rejected manifest '" + manifestPath + "'");
+                        else if (code != 0)
+                            ++deathsThisPass;
+                    }
                 }
-            }
-            if (alive == 0)
-                break;
-            // A short poll keeps the tail latency after the last worker
-            // exits small relative to the campaign span — the trace's
-            // coverage figure is measured against that span.
-            if (!progressed)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            const auto now = std::chrono::steady_clock::now();
-            const bool beatDue =
-                options.heartbeatSec > 0.0 &&
-                std::chrono::duration<double>(now - lastBeat).count() >=
-                    options.heartbeatSec;
-            // Campaign gauges refresh on their own clock so metrics
-            // stay live even when the heartbeat is off or slow.
-            const bool gaugesDue =
-                telemetry::enabled() &&
-                std::chrono::duration<double>(now - lastGauges).count() >=
-                    std::min(options.heartbeatSec > 0.0
-                                 ? options.heartbeatSec
-                                 : 2.0,
-                             2.0);
-            if (beatDue || gaugesDue) {
-                if (beatDue)
-                    lastBeat = now;
-                lastGauges = now;
-                // The richer probe: journals give done/failed/retried,
-                // claims give steals. Both loaders tolerate the torn
-                // final line a live writer can leave behind.
-                const JournalMap probe = mergeJournals(journalPaths);
-                std::size_t done = 0, failed = 0, retries = 0;
-                for (const auto &entry : probe) {
-                    ++done;
-                    failed += !entry.second.ok;
-                    retries += entry.second.attempts > 1;
-                }
-                std::size_t stolen = 0;
-                for (const Claim &claim : loadClaims(claims))
-                    stolen += claim.shard % ctx.workers != claim.worker;
-                const double elapsed =
-                    std::chrono::duration<double>(now - start).count();
-                const double rate = elapsed > 0.0 ? done / elapsed : 0.0;
-                const double eta =
-                    rate > 0.0 ? (report.total - std::min(done, report.total)) /
-                                     rate
-                               : 0.0;
-                if (telemetry::enabled()) {
-                    telemetry::metricSet("dgsim_campaign_jobs_done",
-                                         static_cast<double>(done));
-                    telemetry::metricSet("dgsim_campaign_jobs_failed",
-                                         static_cast<double>(failed));
-                    telemetry::metricSet("dgsim_campaign_jobs_retried",
-                                         static_cast<double>(retries));
-                    telemetry::metricSet("dgsim_campaign_jobs_stolen",
-                                         static_cast<double>(stolen));
-                    telemetry::metricSet("dgsim_campaign_workers_alive",
-                                         static_cast<double>(alive));
-                    std::map<unsigned, std::size_t> outstanding;
-                    for (std::size_t i = 0; i < ctx.keys.size(); ++i)
-                        if (probe.find(ctx.keys[i]) == probe.end())
-                            ++outstanding[ctx.shards[i]];
-                    for (const auto &entry : outstanding)
-                        telemetry::metricSet(
-                            "dgsim_shard_outstanding{shard=\"" +
-                                std::to_string(entry.first) + "\"}",
-                            static_cast<double>(entry.second));
-                }
-                if (beatDue) {
-                    // Still one wholly formatted line, one fwrite: the
-                    // single-writer contract the runner heartbeat keeps.
-                    char line[200];
-                    const int len = std::snprintf(
-                        line, sizeof(line),
-                        "[campaign] heartbeat %zu/%zu jobs, "
-                        "%.2f jobs/s, ETA %.0fs, %zu stolen, "
-                        "%zu retried, %u worker(s) alive\n",
-                        std::min(done, report.total), report.total, rate,
-                        eta, stolen, retries,
-                        static_cast<unsigned>(alive));
-                    if (len > 0)
-                        std::fwrite(line, 1,
-                                    static_cast<std::size_t>(len), stderr);
-                }
+                // A short poll keeps the tail latency after the last
+                // worker exits small relative to the campaign span —
+                // the trace's coverage figure is measured against it.
+                if (!progressed && alive > 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(10));
             }
         }
 
@@ -513,27 +486,7 @@ runCampaign(const std::string &manifestPath,
     report.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-    if (telemetry::enabled()) {
-        // Final gauge values: campaigns shorter than the in-flight
-        // refresh period would otherwise snapshot all-zero gauges.
-        std::size_t retries = 0;
-        for (const JobOutcome &outcome : report.outcomes)
-            retries += outcome.attempts > 1;
-        telemetry::metricSet("dgsim_campaign_jobs_done",
-                             static_cast<double>(report.ok +
-                                                 report.failed));
-        telemetry::metricSet("dgsim_campaign_jobs_failed",
-                             static_cast<double>(report.failed));
-        telemetry::metricSet("dgsim_campaign_jobs_retried",
-                             static_cast<double>(retries));
-        telemetry::metricSet("dgsim_campaign_jobs_stolen",
-                             static_cast<double>(report.stolen));
-        telemetry::metricSet("dgsim_campaign_workers_alive", 0.0);
-        telemetry::metricSet("dgsim_campaign_worker_deaths",
-                             static_cast<double>(report.workerDeaths));
-        telemetry::metricSet("dgsim_campaign_passes",
-                             static_cast<double>(report.passes));
-    }
+    publishCampaignGauges(ctx, report, stolenEarlier, alive);
     return report;
 }
 

@@ -26,6 +26,8 @@
  * merged result set is therefore byte-identical (under
  * --no-host-metrics) to an uninterrupted single-process run of the
  * same sweep, no matter which workers died along the way.
+ * With telemetry on, the parent publishes the campaign gauges from
+ * the journals and claims: as the reporter's sampler, and at the end.
  */
 
 #ifndef DGSIM_RUNNER_COORDINATOR_HH
@@ -49,10 +51,6 @@ struct CoordinatorOptions
 
     /** Pass/merge status lines on stderr. */
     bool progress = true;
-
-    /** Parent-side heartbeat period in seconds (0 = off): counts
-        journaled completions across all workers while they run. */
-    double heartbeatSec = 0.0;
 
     /** fsync worker journals after every record. */
     bool journalSync = false;

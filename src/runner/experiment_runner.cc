@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "common/errors.hh"
@@ -207,7 +205,6 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
 {
     std::vector<JobOutcome> outcomes(jobs.size());
     std::atomic<std::size_t> completed{0};
-    std::atomic<std::size_t> retried{0};
 
     std::unique_ptr<JournalWriter> journal;
     if (!options_.journalPath.empty())
@@ -215,51 +212,10 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
             options_.journalPath, options_.journalHostMetrics,
             options_.journalSync);
 
-    // Opt-in heartbeat: one wholly formatted line per period, emitted
-    // with a single fwrite so job progress/log output never interleaves
-    // with it. The thread only reads the atomic counter — jobs never
-    // block on the heartbeat.
-    std::thread heartbeat;
-    std::mutex heartbeatMutex;
-    std::condition_variable heartbeatCv;
-    bool heartbeatStop = false;
-    if (options_.heartbeatSec > 0.0) {
-        const auto start = std::chrono::steady_clock::now();
-        const auto period = std::chrono::duration<double>(
-            options_.heartbeatSec);
-        heartbeat = std::thread([&, start, period] {
-            std::FILE *out = options_.heartbeatStream
-                                 ? options_.heartbeatStream
-                                 : stderr;
-            std::unique_lock<std::mutex> lock(heartbeatMutex);
-            while (!heartbeatCv.wait_for(lock, period,
-                                         [&] { return heartbeatStop; })) {
-                const std::size_t done = completed.load();
-                const std::size_t retries = retried.load();
-                const double elapsed =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                const double rate = elapsed > 0.0 ? done / elapsed : 0.0;
-                const double eta =
-                    rate > 0.0 ? (outcomes.size() - done) / rate : 0.0;
-                char line[200];
-                const int len = std::snprintf(
-                    line, sizeof(line),
-                    "[runner] heartbeat %zu/%zu jobs (%.1f%%), "
-                    "%.2f jobs/s, ETA %.0fs, %zu retried\n",
-                    done, outcomes.size(),
-                    outcomes.empty() ? 100.0
-                                     : 100.0 * done / outcomes.size(),
-                    rate, eta, retries);
-                if (len > 0) {
-                    std::fwrite(line, 1, static_cast<std::size_t>(len),
-                                out);
-                    std::fflush(out);
-                }
-            }
-        });
-    }
+    // Totals over this process's runners; resumed jobs count as done.
+    if (telemetry::enabled())
+        telemetry::metricAdd("dgsim_runner_jobs_total",
+                             static_cast<double>(jobs.size()));
 
     {
         ThreadPool pool(threads_);
@@ -284,12 +240,14 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
                 outcome.resumed = true;
                 completed.fetch_add(1);
                 ++resumedCount;
+                if (telemetry::enabled())
+                    telemetry::metricAdd("dgsim_runner_jobs_completed_total");
                 continue;
             }
 
             JournalWriter *journalPtr = journal.get();
             pool.submit([this, &job, &outcome, &outcomes, &completed,
-                         &retried, key = std::move(key), journalPtr] {
+                         key = std::move(key), journalPtr] {
                 outcome.index = job.index;
                 outcome.workload = job.workload;
                 outcome.suite = job.suite;
@@ -306,16 +264,12 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
                                     "(resume to run)";
                 } else {
                     executeJob(job, key, outcome);
-                    if (outcome.attempts > 1)
-                        retried.fetch_add(1);
                     if (journalPtr)
                         journalPtr->record(key, outcome);
                 }
                 const std::size_t done = completed.fetch_add(1) + 1;
                 if (telemetry::enabled())
-                    telemetry::metricSet(
-                        "dgsim_runner_queue_depth",
-                        static_cast<double>(outcomes.size() - done));
+                    telemetry::metricAdd("dgsim_runner_jobs_completed_total");
                 if (options_.progress) {
                     // Single atomic-ish fprintf per job; ordering between
                     // workers is irrelevant because `done` only grows.
@@ -331,15 +285,6 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
                          "[runner] resumed %zu/%zu jobs from journal\n",
                          resumedCount, outcomes.size());
         pool.wait();
-    }
-
-    if (heartbeat.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(heartbeatMutex);
-            heartbeatStop = true;
-        }
-        heartbeatCv.notify_all();
-        heartbeat.join();
     }
 
     // Sinks run on this thread, after the barrier, in index order:

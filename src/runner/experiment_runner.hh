@@ -21,7 +21,6 @@
 #define DGSIM_RUNNER_EXPERIMENT_RUNNER_HH
 
 #include <atomic>
-#include <cstdio>
 #include <functional>
 #include <vector>
 
@@ -41,17 +40,6 @@ struct RunnerOptions
 
     /** Live "done/total" progress line on stderr. */
     bool progress = true;
-
-    /**
-     * Opt-in periodic heartbeat: every this many seconds one fully
-     * formatted line (jobs done/total, jobs/sec, ETA) is emitted with a
-     * single fwrite — the same atomicity discipline as the log path, so
-     * concurrent job output never interleaves with it. 0 disables.
-     */
-    double heartbeatSec = 0.0;
-
-    /** Heartbeat destination; null = stderr (tests inject a tmpfile). */
-    std::FILE *heartbeatStream = nullptr;
 
     /**
      * How to execute one job. The default runs

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -28,7 +29,7 @@ namespace detail
  * The whole enabled-telemetry world. Forked workers inherit a copy:
  * the epoch stays shared (so timestamps align across processes) while
  * reopenForWorker() swaps the process-local pieces (event log, pid,
- * registry). The snapshot thread exists only in the process that
+ * registry). The reporter thread exists only in the process that
  * called enable(); fork does not duplicate threads.
  */
 struct TelemetryState
@@ -44,10 +45,12 @@ struct TelemetryState
 
     MetricsRegistry *registry = nullptr;
 
-    std::thread snapshotThread;
-    std::mutex snapshotMutex;
-    std::condition_variable snapshotCv;
-    bool snapshotStop = false;
+    /** Guards sampler and reporterStop; held for a whole tick. */
+    std::mutex reporterMutex;
+    std::function<void()> sampler;
+    bool reporterStop = false;
+    std::condition_variable reporterCv;
+    std::thread reporter;
 };
 
 std::atomic<TelemetryState *> g_state{nullptr};
@@ -101,23 +104,115 @@ maxRssBytes()
     return static_cast<double>(kib) * 1024.0;
 }
 
-void
-writeSnapshot(TelemetryState &state)
+/**
+ * The `--progress` line from the registry: `[campaign]` (plus steals
+ * and live workers) once a coordinator publishes a job count, else
+ * `[runner]` once runners do, else "". Rates are over uptime.
+ */
+std::string
+heartbeatLine(const MetricsRegistry &registry, double uptime)
 {
-    if (state.config.metricsPath.empty() || !state.registry)
+    const bool campaign = registry.value("dgsim_campaign_jobs_total") > 0.0;
+    const double total = registry.value(
+        campaign ? "dgsim_campaign_jobs_total" : "dgsim_runner_jobs_total");
+    if (total <= 0.0)
+        return "";
+    const double done = std::min(
+        registry.value(campaign ? "dgsim_campaign_jobs_done"
+                                : "dgsim_runner_jobs_completed_total"),
+        total);
+    const double rate = uptime > 0.0 ? done / uptime : 0.0;
+    char tail[96] = "";
+    if (campaign)
+        std::snprintf(tail, sizeof(tail), ", %.0f stolen, %.0f worker(s) alive",
+                      registry.value("dgsim_campaign_jobs_stolen"),
+                      registry.value("dgsim_campaign_workers_alive"));
+    char line[256];
+    const int len = std::snprintf(
+        line, sizeof(line),
+        "[%s] heartbeat %.0f/%.0f jobs (%.1f%%), %.2f jobs/s, ETA %.0fs, "
+        "%.0f retried%s\n",
+        campaign ? "campaign" : "runner", done, total, 100.0 * done / total,
+        rate, rate > 0.0 ? (total - done) / rate : 0.0,
+        registry.value(campaign ? "dgsim_campaign_jobs_retried"
+                                : "dgsim_jobs_retried_total"),
+        tail);
+    return len > 0 ? std::string(line, std::min<std::size_t>(
+                                           len, sizeof(line) - 1))
+                   : "";
+}
+
+/**
+ * One reporter tick: the sampler publishes, then the snapshot (with
+ * the host gauges sampled now) and the heartbeat read the registry.
+ * The caller holds reporterMutex, so a ScopedSampler cannot uninstall
+ * the hook while it runs.
+ */
+void
+tick(TelemetryState &state, bool snapshot, bool heartbeat)
+{
+    if (state.sampler)
+        state.sampler();
+    MetricsRegistry &registry = *state.registry;
+    const double uptime = nowMicros(state) * 1e-6;
+    if (snapshot) {
+        registry.set("dgsim_uptime_seconds", uptime);
+        registry.set("dgsim_maxrss_bytes", maxRssBytes());
+        registry.set("dgsim_kips",
+                     uptime > 0.0 ? registry.value("dgsim_instructions_total") /
+                                        uptime / 1000.0
+                                  : 0.0);
+        if (const double jobs = registry.value("dgsim_runner_jobs_total"))
+            registry.set("dgsim_runner_queue_depth",
+                         jobs - registry.value(
+                                    "dgsim_runner_jobs_completed_total"));
+        writeFileAtomic(state.config.metricsPath,
+                        registry.renderPrometheus());
+    }
+    const std::string line = heartbeat ? heartbeatLine(registry, uptime) : "";
+    if (line.empty())
         return;
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      state.epoch)
-            .count();
-    state.registry->set("dgsim_uptime_seconds", uptime);
-    state.registry->set("dgsim_maxrss_bytes", maxRssBytes());
-    const double instructions =
-        state.registry->value("dgsim_instructions_total");
-    state.registry->set(
-        "dgsim_kips", uptime > 0.0 ? instructions / uptime / 1000.0 : 0.0);
-    writeFileAtomic(state.config.metricsPath,
-                    state.registry->renderPrometheus());
+    // One whole line, one fwrite: concurrent output never splits it.
+    std::FILE *out =
+        state.config.progressStream ? state.config.progressStream : stderr;
+    std::fwrite(line.data(), 1, line.size(), out);
+    std::fflush(out);
+}
+
+/** The reporter: ticks whenever the snapshot or the heartbeat is due,
+ * each on its own period, until shutdown() stops it. */
+void
+reporterLoop(TelemetryState &state)
+{
+    const TelemetryConfig &config = state.config;
+    const double never = std::numeric_limits<double>::infinity();
+    // Uptime seconds at which each output is next due.
+    double snapshotDue =
+        !config.metricsPath.empty() && config.metricsPeriodSec > 0.0
+            ? config.metricsPeriodSec
+            : never;
+    double heartbeatDue =
+        config.progressPeriodSec > 0.0 ? config.progressPeriodSec : never;
+    std::unique_lock<std::mutex> lock(state.reporterMutex);
+    for (;;) {
+        // Capped at an hour: the clock's nanosecond count overflows on
+        // a far deadline (an infinite or huge period).
+        const double wait = std::clamp(
+            std::min(snapshotDue, heartbeatDue) - nowMicros(state) * 1e-6,
+            0.0, 3600.0);
+        if (state.reporterCv.wait_for(lock,
+                                      std::chrono::duration<double>(wait),
+                                      [&state] { return state.reporterStop; }))
+            return;
+        const double now = nowMicros(state) * 1e-6;
+        const bool snapshot = now >= snapshotDue;
+        const bool heartbeat = now >= heartbeatDue;
+        if (snapshot)
+            snapshotDue = now + config.metricsPeriodSec;
+        if (heartbeat)
+            heartbeatDue = now + config.progressPeriodSec;
+        tick(state, snapshot, heartbeat);
+    }
 }
 
 } // namespace
@@ -176,16 +271,8 @@ enable(const TelemetryConfig &config)
     detail::g_state.store(state, std::memory_order_release);
     emitProcessName("dgrun");
 
-    if (!config.metricsPath.empty() && config.metricsPeriodSec > 0.0) {
-        state->snapshotThread = std::thread([state] {
-            const auto period =
-                std::chrono::duration<double>(state->config.metricsPeriodSec);
-            std::unique_lock<std::mutex> lock(state->snapshotMutex);
-            while (!state->snapshotCv.wait_for(
-                lock, period, [state] { return state->snapshotStop; }))
-                detail::writeSnapshot(*state);
-        });
-    }
+    if (!config.metricsPath.empty() || config.progressPeriodSec > 0.0)
+        state->reporter = std::thread(detail::reporterLoop, std::ref(*state));
 }
 
 void
@@ -195,19 +282,24 @@ shutdown()
         detail::g_state.load(std::memory_order_acquire);
     if (!state)
         return;
-    // Unpublish first so in-flight instrumentation sites (there are
-    // none by the time dgrun shuts down, but cheap insurance) stop
-    // observing the state being torn down.
-    detail::g_state.store(nullptr, std::memory_order_release);
-    if (state->snapshotThread.joinable()) {
+    if (state->reporter.joinable()) {
         {
-            std::lock_guard<std::mutex> lock(state->snapshotMutex);
-            state->snapshotStop = true;
+            std::lock_guard<std::mutex> lock(state->reporterMutex);
+            state->reporterStop = true;
         }
-        state->snapshotCv.notify_all();
-        state->snapshotThread.join();
+        state->reporterCv.notify_all();
+        state->reporter.join();
     }
-    detail::writeSnapshot(*state);
+    {
+        // Still published, so a sampler's metricSet() calls land.
+        std::lock_guard<std::mutex> lock(state->reporterMutex);
+        detail::tick(*state, !state->config.metricsPath.empty(),
+                     state->config.progressPeriodSec > 0.0);
+    }
+    // Unpublish before teardown so in-flight instrumentation sites
+    // (there are none by the time dgrun shuts down, but cheap
+    // insurance) stop observing the state being destroyed.
+    detail::g_state.store(nullptr, std::memory_order_release);
     delete state->registry;
     delete state;
 }
@@ -234,8 +326,8 @@ reopenForWorker(unsigned worker)
     // hundred bytes, once per worker) — destroying a locked mutex is
     // undefined behavior.
     state->registry = new MetricsRegistry;
-    // The snapshot thread did not survive the fork; make the handle
-    // unjoinable state-wise by never touching it: workers _exit().
+    // The reporter thread did not survive the fork, and its mutex may
+    // have been held mid-tick: workers never touch either, and _exit().
     emitProcessName("worker " + std::to_string(worker));
 }
 
@@ -320,12 +412,13 @@ metricValue(const std::string &name)
 }
 
 void
-writeMetricsSnapshotNow()
+detail::setSampler(std::function<void()> sample)
 {
-    TelemetryState *state =
-        detail::g_state.load(std::memory_order_acquire);
-    if (state)
-        detail::writeSnapshot(*state);
+    TelemetryState *state = g_state.load(std::memory_order_acquire);
+    if (!state)
+        return;
+    std::lock_guard<std::mutex> lock(state->reporterMutex);
+    state->sampler = std::move(sample);
 }
 
 void

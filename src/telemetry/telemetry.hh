@@ -18,6 +18,10 @@
  * finalizeTrace() merges the per-process files into one strict-JSON
  * trace-event document Perfetto loads directly, exactly like worker
  * journals merge into one result set.
+ *
+ * One reporter thread per process ticks on a clock: the sampler hook
+ * (ScopedSampler), then the `--metrics` snapshot and the `--progress`
+ * heartbeat line, both read from the metrics registry.
  */
 
 #ifndef DGSIM_TELEMETRY_TELEMETRY_HH
@@ -25,20 +29,27 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 
 namespace dgsim::telemetry
 {
 
-/** What `dgrun --telemetry/--metrics` enables. */
+/** What `dgrun --telemetry/--metrics/--progress` enables. */
 struct TelemetryConfig
 {
     /** Merged Chrome trace-event JSON output ("" = tracing off). */
     std::string tracePath;
     /** Prometheus-text snapshot file ("" = metrics off). */
     std::string metricsPath;
-    /** Snapshot period in seconds (with metricsPath). */
+    /** Snapshot period in seconds (0 = only the final snapshot). */
     double metricsPeriodSec = 5.0;
+    /** Heartbeat period in seconds (0 = no heartbeat). */
+    double progressPeriodSec = 0.0;
+    /** Heartbeat destination; null = stderr (tests inject a tmpfile). */
+    std::FILE *progressStream = nullptr;
 };
 
 namespace detail
@@ -50,6 +61,7 @@ std::uint64_t nowMicros(TelemetryState &state);
 void emitSpan(TelemetryState &state, const char *name, const char *cat,
               std::uint64_t start_us, std::uint64_t end_us,
               const std::string &args);
+void setSampler(std::function<void()> sample);
 } // namespace detail
 
 /** True while telemetry is enabled (one relaxed load). */
@@ -63,14 +75,14 @@ enabled()
  * Turn telemetry on for this process. Starts this process's event
  * part file afresh (unlinks, then opens it); captures the monotonic epoch all timestamps (including
  * forked workers', which inherit it) are measured from; starts the
- * metrics snapshot thread when the config asks for one. Fatal when
- * already enabled — nesting would corrupt the epoch.
+ * reporter when the config asks for snapshots or a heartbeat. Fatal
+ * when already enabled — nesting would corrupt the epoch.
  */
 void enable(const TelemetryConfig &config);
 
 /**
- * Final metrics snapshot, join the snapshot thread, close the event
- * file, disable. Safe to call when disabled (no-op).
+ * Join the reporter, run a final tick (a run shorter than a period
+ * still reports), close the event file, disable. No-op when disabled.
  */
 void shutdown();
 
@@ -115,9 +127,23 @@ void metricSet(const std::string &name, double value);
 /** Current value of @p name (0 when absent or disabled). */
 double metricValue(const std::string &name);
 
-/** Write a metrics snapshot now (temp file + rename). No-op unless
- * metrics output is configured. */
-void writeMetricsSnapshotNow();
+/**
+ * Installs a sampler hook for its lifetime: each reporter tick runs it
+ * first, so that tick's snapshot and heartbeat read what it publishes.
+ * One at a time; both ends wait out a running tick. Inert when off.
+ */
+class ScopedSampler
+{
+  public:
+    explicit ScopedSampler(std::function<void()> sample)
+    {
+        detail::setSampler(std::move(sample));
+    }
+    ~ScopedSampler() { detail::setSampler(nullptr); }
+
+    ScopedSampler(const ScopedSampler &) = delete;
+    ScopedSampler &operator=(const ScopedSampler &) = delete;
+};
 
 /**
  * RAII span. Construction stamps the start, destruction emits one

@@ -77,9 +77,9 @@ fault tolerance:
                       probability R (0..1) keyed by deterministic seed S
   --journal-sync      fsync the journal after every record (survives
                       power loss, not just SIGKILL; default off)
-  --progress SECS     heartbeat: every SECS seconds print one line with
-                      jobs done/total, jobs/sec and ETA (single atomic
-                      fwrite, so lines never interleave)
+  --progress SECS     heartbeat: every SECS seconds and at exit print one
+                      line of jobs done/total, jobs/sec, ETA and retries,
+                      read from the metrics registry (one fwrite a line)
   --no-host-metrics   omit the per-run "host" object from --jsonl output
                       (use when byte-comparing results across runs)
 
@@ -95,7 +95,7 @@ sharded campaigns (fleet-scale sweeps):
                       budgets, seed, shard count, expected job-key set)
                       and exit; combine with --shards and the usual
                       sweep/fault-tolerance flags
-  --shards N          shard count recorded by --campaign-init (default 1)
+  --shards N          shard count for --campaign-init/--list-jobs (default 1)
   --campaign F        run the campaign in F: fork worker processes, each
                       drains its own shards then steals unclaimed jobs
                       from the slowest shard; journals merge by identity
@@ -142,9 +142,9 @@ fleet telemetry (host-side only; results stay byte-identical):
                       journal-append, steal)
   --metrics FILE[,SECS]
                       write a Prometheus-text metrics snapshot to FILE
-                      every SECS seconds (default 5): jobs done/failed/
-                      retried/stolen, instructions, KIPS, peak RSS,
-                      per-workload throughput, queue depth
+                      every SECS seconds (default 5) and at exit: jobs
+                      done/failed/retried/stolen, instructions, KIPS,
+                      peak RSS, per-workload throughput, queue depth
   --report J1 J2 ...  straggler/latency report from completion journals
                       (+ the --telemetry FILE trace when given): p50/p95/
                       p99 job wall-time per workload and per config,
@@ -252,7 +252,6 @@ struct Options
     std::string resumePath;
     bool hostMetrics = true;
     bool journalSync = false;
-    double heartbeatSec = 0.0;
 
     // Sharded campaigns.
     unsigned shardIndex = 0;
@@ -270,10 +269,8 @@ struct Options
     unsigned fuzzMinimize = 2;
     std::string fuzzReplayPath;
 
-    // Fleet telemetry.
-    std::string telemetryPath;
-    std::string metricsPath;
-    double metricsPeriodSec = 5.0;
+    // Fleet telemetry: --telemetry, --metrics and --progress.
+    telemetry::TelemetryConfig telemetry;
     bool report = false;
     std::vector<std::string> reportPaths;
     std::string validatePath;
@@ -364,7 +361,8 @@ parseArgs(int argc, char **argv)
             char *end = nullptr;
             const double rate =
                 std::strtod(spec.substr(0, comma).c_str(), &end);
-            if (*end != '\0' || errno == ERANGE || rate < 0.0 || rate > 1.0)
+            if (*end != '\0' || errno == ERANGE ||
+                !(rate >= 0.0 && rate <= 1.0))
                 usageError("--inject-fail rate must be in [0, 1], got '" +
                            spec.substr(0, comma) + "'");
             options.sweep.injectFailRate = rate;
@@ -378,9 +376,10 @@ parseArgs(int argc, char **argv)
             const std::string spec = next(i, "--progress");
             errno = 0;
             char *end = nullptr;
-            options.heartbeatSec = std::strtod(spec.c_str(), &end);
+            options.telemetry.progressPeriodSec =
+                std::strtod(spec.c_str(), &end);
             if (spec.empty() || *end != '\0' || errno == ERANGE ||
-                options.heartbeatSec <= 0.0)
+                !(options.telemetry.progressPeriodSec > 0.0))
                 usageError("--progress needs a positive number of "
                            "seconds, got '" + spec + "'");
         } else if (arg == "--shard") {
@@ -432,22 +431,22 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--fuzz-replay") {
             options.fuzzReplayPath = next(i, "--fuzz-replay");
         } else if (arg == "--telemetry") {
-            options.telemetryPath = next(i, "--telemetry");
+            options.telemetry.tracePath = next(i, "--telemetry");
         } else if (arg == "--metrics") {
             const std::string spec = next(i, "--metrics");
             const std::size_t comma = spec.rfind(',');
-            options.metricsPath = spec.substr(0, comma);
+            options.telemetry.metricsPath = spec.substr(0, comma);
             if (comma != std::string::npos) {
                 errno = 0;
                 char *end = nullptr;
-                options.metricsPeriodSec =
+                options.telemetry.metricsPeriodSec =
                     std::strtod(spec.substr(comma + 1).c_str(), &end);
                 if (*end != '\0' || errno == ERANGE ||
-                    options.metricsPeriodSec <= 0.0)
+                    !(options.telemetry.metricsPeriodSec > 0.0))
                     usageError("--metrics needs FILE[,SECS] with positive "
                                "SECS, got '" + spec + "'");
             }
-            if (options.metricsPath.empty())
+            if (options.telemetry.metricsPath.empty())
                 usageError("--metrics needs a file path");
         } else if (arg == "--report") {
             options.report = true;
@@ -511,6 +510,15 @@ parseArgs(int argc, char **argv)
             usageError("unknown option '" + arg + "'");
         }
     }
+    // Checked here, where every mode (--campaign-init too) passes.
+    if (options.sweep.fuzzCount != 0 &&
+        (!options.sweep.suite.empty() || !options.tracePath.empty() ||
+         !options.ckptSavePath.empty() || !options.ckptRestorePath.empty() ||
+         options.wedge || options.sweep.ffwdInstructions != 0 ||
+         options.sweep.sampleInterval != 0))
+        usageError("--fuzz synthesizes its own jobs; it does not "
+                   "combine with --suite/--trace/--ckpt-*/--wedge/"
+                   "--ffwd/--sample");
     return options;
 }
 
@@ -523,17 +531,8 @@ parseArgs(int argc, char **argv)
 SweepSpec
 buildSpec(const Options &options)
 {
-    if (options.sweep.fuzzCount != 0) {
-        if (!options.sweep.suite.empty() || !options.tracePath.empty() ||
-            !options.ckptSavePath.empty() ||
-            !options.ckptRestorePath.empty() || options.wedge ||
-            options.sweep.ffwdInstructions != 0 ||
-            options.sweep.sampleInterval != 0)
-            usageError("--fuzz synthesizes its own jobs; it does not "
-                       "combine with --suite/--trace/--ckpt-*/--wedge/"
-                       "--ffwd/--sample");
+    if (options.sweep.fuzzCount != 0)
         return manifestSpec(options.sweep);
-    }
 
     SweepSpec spec = manifestSpec(options.sweep);
     for (SimConfig &config : spec.configs) {
@@ -575,7 +574,6 @@ runnerOptions(const Options &options, unsigned threads)
     RunnerOptions ropts = manifestRunnerOptions(options.sweep);
     ropts.threads = threads;
     ropts.progress = !options.quiet;
-    ropts.heartbeatSec = options.heartbeatSec;
     ropts.journalPath = !options.resumePath.empty() ? options.resumePath
                                                     : options.journalPath;
     ropts.journalSync = options.journalSync;
@@ -797,7 +795,7 @@ int
 runListJobs(const Options &options)
 {
     auto [sweep, jobs] = selectedSweep(options);
-    unsigned shards = options.campaignPath.empty() ? 1 : sweep.shards;
+    unsigned shards = sweep.shards;
     if (options.shardCount != 0) {
         shards = options.shardCount;
         jobs = filterShard(std::move(jobs), options.shardIndex, shards);
@@ -864,7 +862,6 @@ runCampaignMode(const Options &options, SinkFiles &sinks)
     CoordinatorOptions copts;
     copts.workers = options.workers;
     copts.progress = !options.quiet;
-    copts.heartbeatSec = options.heartbeatSec;
     copts.journalSync = options.journalSync;
 
     installDrainHandler();
@@ -947,22 +944,19 @@ runValidate(const std::string &path)
 
 /**
  * RAII around the telemetry lifetime in the parent process: enable on
- * entry when --telemetry/--metrics ask for it, merge the per-process
- * event part files and write the final metrics snapshot on any exit
- * path. Forked workers never run this destructor — they _exit — so
- * the merge happens exactly once, in the coordinator.
+ * entry when --telemetry/--metrics/--progress ask for it, merge the
+ * per-process event part files and run the reporter's final tick on
+ * any exit path. Forked workers never run this destructor — they
+ * _exit — so the merge happens exactly once, in the coordinator.
  */
 struct TelemetrySession
 {
     explicit TelemetrySession(const Options &options)
     {
-        if (options.telemetryPath.empty() && options.metricsPath.empty())
-            return;
-        telemetry::TelemetryConfig config;
-        config.tracePath = options.telemetryPath;
-        config.metricsPath = options.metricsPath;
-        config.metricsPeriodSec = options.metricsPeriodSec;
-        telemetry::enable(config);
+        const telemetry::TelemetryConfig &config = options.telemetry;
+        if (!config.tracePath.empty() || !config.metricsPath.empty() ||
+            config.progressPeriodSec > 0.0)
+            telemetry::enable(config);
     }
 
     ~TelemetrySession()
@@ -978,7 +972,7 @@ runReportMode(const Options &options)
 {
     telemetry::ReportInputs inputs;
     inputs.journalPaths = options.reportPaths;
-    inputs.tracePath = options.telemetryPath;
+    inputs.tracePath = options.telemetry.tracePath;
     const std::string report = telemetry::buildCampaignReport(inputs);
     std::fwrite(report.data(), 1, report.size(), stdout);
     return 0;

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -372,6 +373,66 @@ TEST(Coordinator, FaultInjectionComposesWithWorkStealing)
     CampaignManifest clean = manifest;
     clean.injectFailRate = 0.0;
     EXPECT_EQ(jsonlOf(report.outcomes), jsonlOf(referenceRun(clean)));
+}
+
+TEST(Coordinator, HeartbeatAndLiveGaugesComeFromTheReporter)
+{
+    CampaignManifest manifest;
+    const std::string path = freshManifest("coord_heartbeat", manifest);
+    const std::string metrics = tempPath("coord_heartbeat.prom");
+    std::remove(metrics.c_str());
+
+    // The two outputs on different periods, from the one reporter.
+    telemetry::TelemetryConfig config;
+    config.metricsPath = metrics;
+    config.metricsPeriodSec = 0.05;
+    config.progressPeriodSec = 0.02;
+    HeartbeatCapture capture(config);
+
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.progress = false;
+    options.execute = slowMockResult;
+    const CampaignReport report = runCampaign(path, manifest, options);
+    ASSERT_EQ(report.ok, report.total);
+
+    // Live lines come from the sampler while workers run; the last one
+    // from the final tick, after the end-of-campaign gauges.
+    const std::vector<std::string> lines = capture.lines();
+    ASSERT_GE(lines.size(), 2u);
+    std::size_t done = 0, total = 0, retried = 0, stolen = 0, alive = 0;
+    double percent = 0.0, rate = 0.0, eta = 0.0;
+    bool sawLiveWorkers = false;
+    for (const std::string &line : lines) {
+        EXPECT_EQ(line.back(), '\n') << line;
+        ASSERT_EQ(std::sscanf(line.c_str(),
+                              "[campaign] heartbeat %zu/%zu jobs (%lf%%), "
+                              "%lf jobs/s, ETA %lfs, %zu retried, %zu "
+                              "stolen, %zu worker(s) alive",
+                              &done, &total, &percent, &rate, &eta, &retried,
+                              &stolen, &alive),
+                  8)
+            << line;
+        EXPECT_LE(done, total) << line;
+        EXPECT_EQ(total, report.total) << line;
+        EXPECT_LE(alive, options.workers) << line;
+        sawLiveWorkers |= alive != 0;
+    }
+    EXPECT_TRUE(sawLiveWorkers);
+    EXPECT_EQ(done, report.total);
+    EXPECT_EQ(alive, 0u);
+
+    // The final snapshot, written by the same tick.
+    std::ifstream in(metrics);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string snapshot = text.str();
+    EXPECT_NE(snapshot.find("# TYPE dgsim_campaign_jobs_done gauge\n"),
+              std::string::npos);
+    EXPECT_NE(snapshot.find("\ndgsim_campaign_jobs_done " +
+                            std::to_string(report.total) + "\n"),
+              std::string::npos)
+        << snapshot;
 }
 
 TEST(Coordinator, MismatchedManifestFailsLoudly)

@@ -491,12 +491,11 @@ TEST(RunnerJournal, SyncedJournalRoundTrips)
 TEST(RunnerHeartbeat, PeriodicLinesAreEmittedAndWellFormed)
 {
     const SweepSpec spec = smallSpec(1'000);
-    std::FILE *stream = std::tmpfile();
-    ASSERT_NE(stream, nullptr);
+    telemetry::TelemetryConfig config;
+    config.progressPeriodSec = 0.02;
+    HeartbeatCapture capture(config);
 
     RunnerOptions options = fastRetryOptions(2, 1);
-    options.heartbeatSec = 0.02;
-    options.heartbeatStream = stream;
     options.execute = [](const Job &job) {
         // Slow enough that several heartbeat periods elapse mid-sweep.
         std::this_thread::sleep_for(std::chrono::milliseconds(15));
@@ -506,43 +505,34 @@ TEST(RunnerHeartbeat, PeriodicLinesAreEmittedAndWellFormed)
     for (const JobOutcome &outcome : outcomes)
         EXPECT_TRUE(outcome.ok) << outcome.error;
 
-    std::rewind(stream);
-    char buffer[256];
-    std::size_t lines = 0;
-    while (std::fgets(buffer, sizeof(buffer), stream)) {
-        ++lines;
-        const std::string line = buffer;
+    const std::vector<std::string> lines = capture.lines();
+    for (const std::string &line : lines) {
         // Each heartbeat is one whole line: prefix, done/total counter
         // bounded by the sweep size, and a rate — never a fragment.
         EXPECT_EQ(line.find("[runner] heartbeat "), 0u) << line;
         EXPECT_EQ(line.back(), '\n') << line;
         std::size_t done = 0, total = 0;
-        ASSERT_EQ(std::sscanf(buffer, "[runner] heartbeat %zu/%zu", &done,
-                              &total),
+        ASSERT_EQ(std::sscanf(line.c_str(), "[runner] heartbeat %zu/%zu",
+                              &done, &total),
                   2)
             << line;
         EXPECT_LE(done, spec.jobCount());
         EXPECT_EQ(total, spec.jobCount());
     }
-    EXPECT_GE(lines, 2u);
-    std::fclose(stream);
+    EXPECT_GE(lines.size(), 2u);
 }
 
 TEST(RunnerHeartbeat, DisabledByDefault)
 {
     const SweepSpec spec = smallSpec(1'000);
-    std::FILE *stream = std::tmpfile();
-    ASSERT_NE(stream, nullptr);
+    // Telemetry on, progressPeriodSec left at 0: stays silent.
+    HeartbeatCapture capture(telemetry::TelemetryConfig{});
 
     RunnerOptions options = fastRetryOptions(2, 1);
-    options.heartbeatStream = stream; // No heartbeatSec: stays silent.
     options.execute = mockResult;
     ExperimentRunner(options).run(spec);
 
-    std::rewind(stream);
-    char buffer[8];
-    EXPECT_EQ(std::fgets(buffer, sizeof(buffer), stream), nullptr);
-    std::fclose(stream);
+    EXPECT_TRUE(capture.lines().empty());
 }
 
 TEST(RunnerTimeout, WallClockTimeoutIsTransientAndRetried)

@@ -1,15 +1,19 @@
-/** @file Sweep helpers shared by the runner and campaign tests. */
+/** @file Sweep and heartbeat helpers shared by the runner and
+ * campaign tests. */
 
 #ifndef DGSIM_TESTS_SWEEP_FIXTURES_HH
 #define DGSIM_TESTS_SWEEP_FIXTURES_HH
 
+#include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "runner/paper_matrix.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
+#include "telemetry/telemetry.hh"
 #include "workloads/suite.hh"
 
 namespace dgsim::runner
@@ -35,6 +39,49 @@ jsonlOf(const std::vector<JobOutcome> &outcomes)
         sink.consume(outcome);
     return ss.str();
 }
+
+/**
+ * Telemetry enabled with @p config for one test, its heartbeat stream
+ * a temporary file; shut down however the test ends.
+ */
+class HeartbeatCapture
+{
+  public:
+    explicit HeartbeatCapture(telemetry::TelemetryConfig config)
+        : stream_(std::tmpfile())
+    {
+        if (!stream_)
+            throw std::runtime_error("tmpfile() failed");
+        config.progressStream = stream_;
+        telemetry::enable(config);
+    }
+
+    ~HeartbeatCapture()
+    {
+        telemetry::shutdown();
+        std::fclose(stream_);
+    }
+
+    HeartbeatCapture(const HeartbeatCapture &) = delete;
+    HeartbeatCapture &operator=(const HeartbeatCapture &) = delete;
+
+    /** Shut telemetry down (its final tick writes the last line), then
+        return every line written, each with its '\n'. */
+    std::vector<std::string>
+    lines()
+    {
+        telemetry::shutdown();
+        std::rewind(stream_);
+        std::vector<std::string> lines;
+        char buffer[256];
+        while (std::fgets(buffer, sizeof(buffer), stream_))
+            lines.push_back(buffer);
+        return lines;
+    }
+
+  private:
+    std::FILE *stream_;
+};
 
 } // namespace dgsim::runner
 

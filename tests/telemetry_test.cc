@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -529,22 +530,18 @@ TEST(TelemetryHeartbeat, CarriesRetryCount)
     manifest.instructions = 1'000;
     const std::vector<Job> jobs = manifestSpec(manifest).expand();
 
-    std::FILE *stream = std::tmpfile();
-    ASSERT_NE(stream, nullptr);
+    telemetry::TelemetryConfig config;
+    config.progressPeriodSec = 0.02;
+    runner::HeartbeatCapture capture(config);
     RunnerOptions options;
     options.threads = 1;
     options.progress = false;
     options.execute = slowMockResult;
-    options.heartbeatSec = 0.02;
-    options.heartbeatStream = stream;
     ExperimentRunner(options).run(jobs);
 
-    std::rewind(stream);
     std::string text;
-    char buffer[256];
-    while (std::fgets(buffer, sizeof(buffer), stream))
-        text += buffer;
-    std::fclose(stream);
+    for (const std::string &line : capture.lines())
+        text += line;
 
     std::size_t done = 0, total = 0;
     ASSERT_NE(text.find("[runner] heartbeat"), std::string::npos);
@@ -553,6 +550,34 @@ TEST(TelemetryHeartbeat, CarriesRetryCount)
               2);
     EXPECT_EQ(total, jobs.size());
     EXPECT_NE(text.find("retried\n"), std::string::npos);
+}
+
+TEST(TelemetryHeartbeat, InfinitePeriodReportsOnlyAtExit)
+{
+    CampaignManifest manifest;
+    manifest.shards = 1;
+    manifest.suite = "gobmk,h264ref";
+    manifest.instructions = 1'000;
+    const std::vector<Job> jobs = manifestSpec(manifest).expand();
+
+    // A period past the clock's range must neither spin nor flood: the
+    // final tick's line is the only one.
+    telemetry::TelemetryConfig config;
+    config.progressPeriodSec = std::numeric_limits<double>::infinity();
+    runner::HeartbeatCapture capture(config);
+    RunnerOptions options;
+    options.threads = 1;
+    options.progress = false;
+    options.execute = identityMockResult;
+    ExperimentRunner(options).run(jobs);
+
+    const std::vector<std::string> lines = capture.lines();
+    ASSERT_EQ(lines.size(), 1u);
+    const std::string done = std::to_string(jobs.size());
+    EXPECT_EQ(lines[0].find("[runner] heartbeat " + done + "/" + done +
+                            " jobs (100.0%)"),
+              0u)
+        << lines[0];
 }
 
 } // namespace
