@@ -3,7 +3,7 @@
  * Cooperative SIGINT/SIGTERM drain support for long-running sweeps.
  *
  * A drained process stops *dispatching* new work but finishes what is
- * already in flight, flushes its sinks/journal and exits resumably —
+ * already in flight, writes its results/journal and exits resumably —
  * the opposite of the default disposition, which throws away every
  * simulated cycle since the last completed job.
  *

@@ -125,7 +125,7 @@ class Histogram
      * Text form: summary scalars then one line per *non-empty* bucket
      * ("name.bucket[lo,hi) count"; the last bucket is open-ended).
      * Deterministic for a deterministic run — it is part of the
-     * distributions dump that `dgrun --verify` byte-compares.
+     * distributions dump that idle_skip_test byte-compares.
      */
     void
     dump(std::ostream &os, const std::string &name) const

@@ -1,6 +1,7 @@
 #include "runner/campaign.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,6 +17,18 @@ namespace dgsim::runner
 {
 namespace
 {
+
+/**
+ * The longest job timeout whose millisecond deadline steady_clock can
+ * hold: half the clock's range, leaving the other half for now(). A
+ * longer one would wrap jobTimeoutSec * 1000 or the deadline itself
+ * into a tiny timeout.
+ */
+constexpr std::uint64_t kMaxJobTimeoutSec =
+    std::chrono::duration_cast<std::chrono::seconds>(
+        std::chrono::steady_clock::duration::max())
+        .count() /
+    2;
 
 /** %.17g: shortest text strtod restores bit-exactly (rates are finite). */
 std::string
@@ -116,6 +129,12 @@ joinList(const std::vector<std::string> &items)
 SweepSpec
 manifestSpec(const CampaignManifest &manifest)
 {
+    if (manifest.jobTimeoutSec > kMaxJobTimeoutSec)
+        throw CampaignError("job timeout of " +
+                            std::to_string(manifest.jobTimeoutSec) +
+                            "s exceeds the " +
+                            std::to_string(kMaxJobTimeoutSec) +
+                            "s a steady_clock deadline can hold");
     if (manifest.fuzzCount != 0) {
         // Fuzzing campaign: the oracle's run budget is centralized in
         // fuzz::oracleBaseConfig(), so every fuzz job of a given

@@ -121,7 +121,8 @@ std::string joinList(const std::vector<std::string> &items);
  * on paperRunConfig() plus the fast-forward/sampling shape, with the
  * warm-up suppressed under functional warming. A fuzzing manifest
  * yields its candidates over fuzz::oracleBaseConfig(). Throws
- * CampaignError.
+ * CampaignError, also for a job timeout too long for a steady_clock
+ * deadline.
  */
 SweepSpec manifestSpec(const CampaignManifest &manifest);
 

@@ -71,7 +71,7 @@ injectedFaultImpl(const RunnerOptions &options, const std::string &key,
 }
 
 /** Host-side completion accounting; all no-ops when telemetry is off.
- * Purely observational — results, journals and sinks never change. */
+ * Purely observational — results and journals never change. */
 void
 accountJobMetrics(const Job &job, const JobOutcome &outcome)
 {
@@ -209,7 +209,7 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
     std::unique_ptr<JournalWriter> journal;
     if (!options_.journalPath.empty())
         journal = std::make_unique<JournalWriter>(
-            options_.journalPath, options_.journalHostMetrics,
+            options_.journalPath, /*host_metrics=*/true,
             options_.journalSync);
 
     // Totals over this process's runners; resumed jobs count as done.
@@ -285,14 +285,6 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
                          "[runner] resumed %zu/%zu jobs from journal\n",
                          resumedCount, outcomes.size());
         pool.wait();
-    }
-
-    // Sinks run on this thread, after the barrier, in index order:
-    // serialized output is independent of the executing thread count.
-    for (ResultSink *sink : sinks_) {
-        for (const JobOutcome &outcome : outcomes)
-            sink->consume(outcome);
-        sink->finish();
     }
     return outcomes;
 }

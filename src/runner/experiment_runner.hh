@@ -2,7 +2,7 @@
  * @file
  * The experiment runner: executes a sweep's jobs across a thread pool
  * with per-job exception capture, deterministic result ordering, and
- * live progress reporting, then feeds the outcomes to result sinks.
+ * live progress reporting, and returns the outcomes in job-index order.
  *
  * Fault tolerance (all opt-in via RunnerOptions):
  *  - transient host failures (TransientError: injected faults, job
@@ -26,7 +26,6 @@
 
 #include "common/backoff.hh"
 #include "runner/journal.hh"
-#include "runner/result_sink.hh"
 #include "runner/sweep.hh"
 
 namespace dgsim::runner
@@ -69,11 +68,12 @@ struct RunnerOptions
     double injectFailRate = 0.0;
     std::uint64_t injectFailSeed = 0;
 
-    /** Append-only completion journal path; empty = no journal. */
+    /**
+     * Append-only completion journal path; empty = no journal. Records
+     * carry the (non-deterministic) host metrics object; it is restored
+     * on resume, never compared.
+     */
     std::string journalPath;
-    /** Whether journal records carry the (non-deterministic) host
-        metrics object; they are restored on resume, never compared. */
-    bool journalHostMetrics = true;
     /**
      * fsync the journal after every appended record. Off by default: a
      * flush already survives a process kill, and per-record fsync costs
@@ -93,7 +93,7 @@ struct RunnerOptions
      * Cooperative cancel: when *cancel becomes true the runner stops
      * starting queued jobs (they finish as `attempts == 0` failures),
      * completes in-flight ones, journals them and returns normally so
-     * sinks still flush. Not owned; may be null.
+     * the caller still writes its results. Not owned; may be null.
      */
     const std::atomic<bool> *cancel = nullptr;
 };
@@ -102,22 +102,17 @@ struct RunnerOptions
  * Executes independent simulation jobs on N threads.
  *
  * Guarantees:
- *  - Outcomes are returned (and fed to sinks) in job-index order, so
- *    all output is byte-identical regardless of the thread count.
+ *  - Outcomes are returned in job-index order, so all output is
+ *    byte-identical regardless of the thread count.
  *  - An exception escaping one job marks that outcome failed (with the
  *    exception message) without affecting other jobs or the pool.
- *  - Sinks are invoked sequentially on the calling thread, after every
- *    job has finished; they need no synchronization of their own.
- *  - With a journal + resume, a killed-and-resumed sweep's sink output
- *    is byte-identical to the same sweep run uninterrupted.
+ *  - With a journal + resume, a killed-and-resumed sweep's outcomes
+ *    serialize byte-identically to the same sweep run uninterrupted.
  */
 class ExperimentRunner
 {
   public:
     explicit ExperimentRunner(RunnerOptions options = RunnerOptions{});
-
-    /** Register a sink; not owned, must outlive run(). */
-    void addSink(ResultSink *sink) { sinks_.push_back(sink); }
 
     /** Expand @p spec and run every job. */
     std::vector<JobOutcome> run(const SweepSpec &spec);
@@ -137,7 +132,6 @@ class ExperimentRunner
 
     RunnerOptions options_;
     unsigned threads_;
-    std::vector<ResultSink *> sinks_;
 };
 
 /**

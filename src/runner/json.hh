@@ -2,12 +2,12 @@
  * @file
  * The minimal JSON subset the runner serializes: objects of strings,
  * numbers (kept as raw text so uint64 values survive untruncated),
- * booleans, arrays and nested objects. Shared by the result-sink
- * readers, the completion journal and the telemetry trace readers so
+ * booleans, arrays and nested objects. Shared by the JSONL result
+ * reader, the completion journal and the telemetry trace readers so
  * they can never drift apart.
  *
  * The parser reports malformed input by throwing JsonParseError rather
- * than calling DGSIM_FATAL: the sink readers convert it to a fatal
+ * than calling DGSIM_FATAL: the result reader converts it to a fatal
  * (malformed results are unrecoverable), while the journal reader
  * *recovers* from a truncated final line — the expected artifact of a
  * killed sweep.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <string>
 
 #include "common/log.hh"
@@ -17,8 +16,7 @@ namespace
 
 /**
  * The scalar SimResult fields, in serialization order. One table drives
- * the JSONL writer/reader and the CSV writer so the three can never
- * drift apart.
+ * the JSONL writer and reader so the two can never drift apart.
  */
 struct Field
 {
@@ -55,34 +53,22 @@ const Field kFields[] = {
 };
 
 /**
- * Shortest representation that strtod restores bit-exactly. Non-finite
- * values (a zero-denominator job's ipc or dgAccuracy) get canonical
- * tokens instead of the locale-ish bare `nan`/`inf` %g would print —
- * which is not valid JSON and does not round-trip.
- */
-std::string
-doubleToString(double value)
-{
-    if (std::isnan(value))
-        return "NaN";
-    if (std::isinf(value))
-        return std::signbit(value) ? "-Infinity" : "Infinity";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-/**
- * A double as a JSON value: raw number when finite, quoted token when
- * not (JSON has no NaN/Infinity literals; a bare token would make the
- * whole line unparseable).
+ * A double as a JSON value: the shortest text strtod restores
+ * bit-exactly when finite. Non-finite values (a zero-denominator job's
+ * ipc or dgAccuracy) become quoted canonical tokens instead of the bare
+ * `nan`/`inf` %g would print — JSON has no NaN/Infinity literals, and a
+ * bare token would make the whole line unparseable.
  */
 std::string
 jsonDouble(double value)
 {
-    if (!std::isfinite(value))
-        return "\"" + doubleToString(value) + "\"";
-    return doubleToString(value);
+    if (std::isnan(value))
+        return "\"NaN\"";
+    if (std::isinf(value))
+        return std::signbit(value) ? "\"-Infinity\"" : "\"Infinity\"";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
 }
 
 std::uint64_t
@@ -90,7 +76,7 @@ stringToU64(const std::string &text, const char *what)
 {
     // strtoull silently accepts leading whitespace and a sign — and
     // wraps "-1" to 2^64-1 — so a corrupted row would round-trip as
-    // garbage. The sinks only ever write bare digits; demand them.
+    // garbage. toJsonLine only ever writes bare digits; demand them.
     if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
         DGSIM_FATAL(std::string("bad integer for ") + what + ": '" + text +
                     "'");
@@ -116,7 +102,7 @@ stringToDouble(const std::string &text, const char *what)
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
     // ERANGE covers two very different cases: overflow (+-HUGE_VAL, a
-    // value we never wrote) and *underflow*, which the sink itself can
+    // value we never wrote) and *underflow*, which toJsonLine itself can
     // legitimately produce — %.17g of a subnormal parses back with
     // errno == ERANGE but a perfectly valid result. Only overflow is an
     // error.
@@ -137,25 +123,6 @@ numberText(const JsonValue &value)
 {
     return value.kind == JsonValue::Kind::String ? value.str : value.number;
 }
-
-// --- CSV ----------------------------------------------------------------
-
-std::string
-csvEscape(const std::string &raw)
-{
-    if (raw.find_first_of(",\"\n\r") == std::string::npos)
-        return raw;
-    std::string out = "\"";
-    for (char c : raw) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-constexpr const char *kCounterPrefix = "counter:";
 
 } // namespace
 
@@ -204,58 +171,6 @@ toJsonLine(const JobOutcome &outcome, bool host_metrics)
     return out;
 }
 
-void
-JsonlSink::consume(const JobOutcome &outcome)
-{
-    os_ << toJsonLine(outcome, host_metrics_) << "\n";
-}
-
-void
-CsvSink::consume(const JobOutcome &outcome)
-{
-    rows_.push_back(outcome);
-}
-
-void
-CsvSink::finish()
-{
-    // Counter columns are the sorted union across all rows: the header
-    // cannot be known until every outcome has been seen.
-    std::set<std::string> counterNames;
-    for (const JobOutcome &row : rows_)
-        for (const auto &kv : row.result.counters)
-            counterNames.insert(kv.first);
-
-    os_ << "index,workload,suite,config,ok,error";
-    for (const Field &field : kFields)
-        os_ << "," << field.name;
-    for (const std::string &name : counterNames)
-        os_ << "," << csvEscape(kCounterPrefix + name);
-    os_ << "\n";
-
-    for (const JobOutcome &row : rows_) {
-        os_ << row.index << "," << csvEscape(row.workload) << ","
-            << csvEscape(row.suite) << "," << csvEscape(row.configLabel)
-            << "," << (row.ok ? "true" : "false") << ","
-            << csvEscape(row.error);
-        for (const Field &field : kFields) {
-            os_ << ",";
-            if (field.u64)
-                os_ << row.result.*field.u64;
-            else
-                os_ << doubleToString(row.result.*field.dbl);
-        }
-        for (const std::string &name : counterNames) {
-            os_ << ",";
-            auto it = row.result.counters.find(name);
-            if (it != row.result.counters.end())
-                os_ << it->second; // Absent counters stay empty cells.
-        }
-        os_ << "\n";
-    }
-    os_.flush();
-}
-
 JobOutcome
 outcomeFromJson(const JsonValue &record)
 {
@@ -276,7 +191,7 @@ outcomeFromJson(const JsonValue &record)
     for (const auto &kv : jsonMember(record, "counters").object)
         outcome.result.counters[kv.first] =
             stringToU64(kv.second.number, kv.first.c_str());
-    // Optional host-metrics object (JsonlSink host_metrics mode).
+    // Optional host-metrics object (toJsonLine host_metrics mode).
     const auto host = record.object.find("host");
     if (host != record.object.end()) {
         outcome.result.hostSeconds = stringToDouble(

@@ -46,11 +46,6 @@ class ThreadPool
     /** Block until the queue is empty and no task is executing. */
     void wait();
 
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
     /** Hardware concurrency with a sane fallback for unknown (0). */
     static unsigned hardwareThreads();
 

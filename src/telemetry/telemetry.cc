@@ -122,6 +122,12 @@ heartbeatLine(const MetricsRegistry &registry, double uptime)
                                 : "dgsim_runner_jobs_completed_total"),
         total);
     const double rate = uptime > 0.0 ? done / uptime : 0.0;
+    // No completion yet means no rate to extrapolate: the ETA is
+    // unknown, not zero.
+    char eta[32] = "-";
+    if (rate > 0.0 || done >= total)
+        std::snprintf(eta, sizeof(eta), "%.0fs",
+                      rate > 0.0 ? (total - done) / rate : 0.0);
     char tail[96] = "";
     if (campaign)
         std::snprintf(tail, sizeof(tail), ", %.0f stolen, %.0f worker(s) alive",
@@ -130,10 +136,10 @@ heartbeatLine(const MetricsRegistry &registry, double uptime)
     char line[256];
     const int len = std::snprintf(
         line, sizeof(line),
-        "[%s] heartbeat %.0f/%.0f jobs (%.1f%%), %.2f jobs/s, ETA %.0fs, "
+        "[%s] heartbeat %.0f/%.0f jobs (%.1f%%), %.2f jobs/s, ETA %s, "
         "%.0f retried%s\n",
         campaign ? "campaign" : "runner", done, total, 100.0 * done / total,
-        rate, rate > 0.0 ? (total - done) / rate : 0.0,
+        rate, eta,
         registry.value(campaign ? "dgsim_campaign_jobs_retried"
                                 : "dgsim_jobs_retried_total"),
         tail);

@@ -4,7 +4,7 @@
  * for the campaign/runner layer (DESIGN.md §11).
  *
  * Everything here is host-side observability: no simulated counter,
- * stats dump, journal or sink line ever changes with telemetry on or
+ * stats dump, journal or result line ever changes with telemetry on or
  * off (golden dumps and journals stay byte-identical — enforced by
  * telemetry_test and the CI campaign smoke). The disabled path is one
  * relaxed atomic load per instrumentation site.

@@ -3,10 +3,8 @@
  * dgrun — the experiment-runner CLI.
  *
  * Runs a (workload x scheme x AP) sweep of the evaluation suite across
- * N threads and serializes results to JSONL/CSV sinks. `--verify` runs
- * the same sweep single-threaded as well, byte-compares the serialized
- * results, and reports the parallel speedup — the determinism check the
- * runner's ordering guarantee is held to.
+ * N threads and writes the results as JSON lines (toJsonLine), in
+ * job-index order whatever the thread count.
  */
 
 #include <cctype>
@@ -18,7 +16,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,10 +53,7 @@ options:
   --ap MODE           address prediction: on, off or both (default: both)
   --instructions N    per-run instruction budget (default: 100000)
   --threads N         worker threads (default: hardware concurrency)
-  --jsonl FILE        write results as JSON lines
-  --csv FILE          write results as CSV
-  --verify            also run single-threaded; byte-compare results and
-                      report the parallel speedup
+  --jsonl FILE        write results as JSON lines, in job order
 
 fault tolerance:
   --journal FILE      append one JSONL record per completed job (flushed
@@ -105,7 +99,7 @@ sharded campaigns (fleet-scale sweeps):
   --merge J1 J2 ...   fold per-shard/worker journals by job identity into
                       the single-process result set for the sweep the
                       other flags select (or --campaign F's manifest);
-                      write it with --jsonl/--csv, or --journal OUT for
+                      write it with --jsonl, or --journal OUT for
                       a merged journal --resume accepts
 
 leak fuzzing (relational attacker-program oracle):
@@ -237,8 +231,6 @@ struct Options
     CampaignManifest sweep;
     unsigned threads = 0; // 0 = hardware concurrency.
     std::string jsonlPath;
-    std::string csvPath;
-    bool verify = false;
     bool idleSkip = true;
     bool quiet = false;
 
@@ -333,10 +325,6 @@ parseArgs(int argc, char **argv)
                 parseUnsigned(next(i, "--threads"), "--threads", false);
         } else if (arg == "--jsonl") {
             options.jsonlPath = next(i, "--jsonl");
-        } else if (arg == "--csv") {
-            options.csvPath = next(i, "--csv");
-        } else if (arg == "--verify") {
-            options.verify = true;
         } else if (arg == "--journal") {
             options.journalPath = next(i, "--journal");
         } else if (arg == "--resume") {
@@ -556,17 +544,6 @@ buildSpec(const Options &options)
     return spec;
 }
 
-/** Serialize every outcome as JSONL — the byte-comparison key. */
-std::string
-serializeAll(const std::vector<JobOutcome> &outcomes)
-{
-    std::ostringstream ss;
-    JsonlSink sink(ss);
-    for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    return ss.str();
-}
-
 /** RunnerOptions for this invocation's fault-tolerance flags. */
 RunnerOptions
 runnerOptions(const Options &options, unsigned threads)
@@ -581,17 +558,6 @@ runnerOptions(const Options &options, unsigned threads)
         ropts.resume = loadJournal(options.resumePath);
     ropts.cancel = &drainFlag();
     return ropts;
-}
-
-std::pair<std::vector<JobOutcome>, double>
-timedRun(const std::vector<Job> &jobs, RunnerOptions ropts)
-{
-    ExperimentRunner runner(std::move(ropts));
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<JobOutcome> outcomes = runner.run(jobs);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    return {std::move(outcomes), elapsed.count()};
 }
 
 /** Compact per-job summary on stdout; returns 1 when any job failed. */
@@ -622,51 +588,20 @@ printSummaryTable(const std::vector<JobOutcome> &outcomes)
 }
 
 /**
- * The --jsonl/--csv files, opened before any mode runs so a bad path
- * fails fast instead of discarding minutes of simulation.
+ * Write @p outcomes to the --jsonl file, when one is open, one
+ * toJsonLine() a line. Lines carry host metrics (wall time, KIPS, trace
+ * and watchdog metadata) unless --no-host-metrics asked for the
+ * byte-comparable form.
  */
-struct SinkFiles
-{
-    std::ofstream jsonl;
-    std::ofstream csv;
-};
-
-/** Open @p path into @p file, unless its flag was not given. */
 void
-openSinkFile(std::ofstream &file, const std::string &path)
+writeJsonl(const std::vector<JobOutcome> &outcomes, const Options &options,
+           std::ofstream &jsonl)
 {
-    if (path.empty())
+    if (!jsonl.is_open())
         return;
-    file.open(path);
-    if (!file)
-        usageError("cannot open " + path);
-}
-
-/** Feed @p outcomes through @p sink and report the file it wrote. */
-void
-writeSink(ResultSink &&sink, const std::vector<JobOutcome> &outcomes,
-          const std::string &path)
-{
     for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    sink.finish();
-    std::fprintf(stderr, "[dgrun] wrote %s\n", path.c_str());
-}
-
-/**
- * Write @p outcomes to the open sink files. File JSONL carries host
- * metrics (wall time, KIPS, trace and watchdog metadata) unless
- * --no-host-metrics asked for the byte-comparable form.
- */
-void
-writeSinkFiles(const std::vector<JobOutcome> &outcomes,
-               const Options &options, SinkFiles &files)
-{
-    if (files.jsonl.is_open())
-        writeSink(JsonlSink(files.jsonl, options.hostMetrics), outcomes,
-                  options.jsonlPath);
-    if (files.csv.is_open())
-        writeSink(CsvSink(files.csv), outcomes, options.csvPath);
+        jsonl << toJsonLine(outcome, options.hostMetrics) << '\n';
+    std::fprintf(stderr, "[dgrun] wrote %s\n", options.jsonlPath.c_str());
 }
 
 /**
@@ -818,7 +753,7 @@ runListJobs(const Options &options)
  * sweep the other flags (or --campaign F's manifest) select.
  */
 int
-runMergeMode(const Options &options, SinkFiles &sinks)
+runMergeMode(const Options &options, std::ofstream &jsonl)
 {
     const auto [sweep, jobs] = selectedSweep(options);
     const JournalMap merged = mergeJournals(options.mergePaths);
@@ -846,7 +781,7 @@ runMergeMode(const Options &options, SinkFiles &sinks)
                      options.journalPath.c_str());
     }
 
-    writeSinkFiles(outcomes, options, sinks);
+    writeJsonl(outcomes, options, jsonl);
     int exitCode = printSummaryTable(outcomes);
     if (missing != 0)
         exitCode = 1;
@@ -855,7 +790,7 @@ runMergeMode(const Options &options, SinkFiles &sinks)
 
 /** --campaign: the forked work-stealing coordinator. */
 int
-runCampaignMode(const Options &options, SinkFiles &sinks)
+runCampaignMode(const Options &options, std::ofstream &jsonl)
 {
     const CampaignManifest manifest = loadManifest(options.campaignPath);
 
@@ -884,7 +819,7 @@ runCampaignMode(const Options &options, SinkFiles &sinks)
                  report.stolen, report.duplicates, report.passes,
                  report.workerDeaths);
 
-    writeSinkFiles(report.outcomes, options, sinks);
+    writeJsonl(report.outcomes, options, jsonl);
     int exitCode = printSummaryTable(report.outcomes);
     if (report.missing != 0) {
         std::fprintf(stderr,
@@ -980,7 +915,7 @@ runReportMode(const Options &options)
 
 /** The plain sweep: expand, run on the thread pool, report. */
 int
-runSweepMode(const Options &options, SinkFiles &sinks)
+runSweepMode(const Options &options, std::ofstream &jsonl)
 {
     const unsigned threads = options.threads == 0
                                  ? ThreadPool::hardwareThreads()
@@ -1028,47 +963,25 @@ runSweepMode(const Options &options, SinkFiles &sinks)
                      threads);
 
     // SIGINT/SIGTERM drain: stop dispatching, finish in-flight jobs,
-    // flush sinks + journal, exit resumably (128+signo convention).
+    // write results + journal, exit resumably (128+signo convention).
     installDrainHandler();
 
-    auto [outcomes, seconds] = [&] {
+    ExperimentRunner runner(runnerOptions(options, threads));
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<JobOutcome> outcomes;
+    {
         // The plain sweep is a one-process "campaign" for the trace's
         // purposes: the same top-level span --report keys on.
         telemetry::ScopedSpan span("campaign", "campaign");
-        return timedRun(jobs, runnerOptions(options, threads));
-    }();
-    std::fprintf(stderr, "[dgrun] completed in %.2fs on %u thread(s)\n",
-                 seconds, threads);
-
-    int exitCode = 0;
-    if (options.verify) {
-        std::fprintf(stderr, "[dgrun] verify: re-running on 1 thread\n");
-        // The verify run re-simulates everything: no journal appends,
-        // no resume restores — determinism is only meaningful against
-        // actually-executed jobs.
-        RunnerOptions serialOptions = runnerOptions(options, 1);
-        serialOptions.journalPath.clear();
-        serialOptions.resume.clear();
-        auto [serialOutcomes, serialSeconds] =
-            timedRun(jobs, std::move(serialOptions));
-        const bool identical =
-            serializeAll(outcomes) == serializeAll(serialOutcomes);
-        std::fprintf(stderr,
-                     "[dgrun] verify: %u-thread %.2fs vs 1-thread %.2fs "
-                     "-> %.2fx speedup, results %s\n",
-                     threads, seconds, serialSeconds,
-                     seconds > 0 ? serialSeconds / seconds : 0.0,
-                     identical ? "byte-identical" : "DIFFER");
-        if (!identical) {
-            std::fprintf(stderr, "[dgrun] verify FAILED\n");
-            exitCode = 1;
-        }
+        outcomes = runner.run(jobs);
     }
+    const std::chrono::duration<double> seconds =
+        std::chrono::steady_clock::now() - start;
+    std::fprintf(stderr, "[dgrun] completed in %.2fs on %u thread(s)\n",
+                 seconds.count(), threads);
 
-    writeSinkFiles(outcomes, options, sinks);
-
-    if (printSummaryTable(outcomes) != 0)
-        exitCode = 1;
+    writeJsonl(outcomes, options, jsonl);
+    int exitCode = printSummaryTable(outcomes);
 
     if (!options.tracePath.empty()) {
         std::uint64_t traceRecords = 0;
@@ -1140,14 +1053,19 @@ main(int argc, char **argv)
             return runListJobs(options);
         if (!options.campaignInitPath.empty())
             return runCampaignInit(options);
-        SinkFiles sinks;
-        openSinkFile(sinks.jsonl, options.jsonlPath);
-        openSinkFile(sinks.csv, options.csvPath);
+        // Opened before any mode runs, so a bad path fails fast instead
+        // of discarding minutes of simulation.
+        std::ofstream jsonl;
+        if (!options.jsonlPath.empty()) {
+            jsonl.open(options.jsonlPath);
+            if (!jsonl)
+                usageError("cannot open " + options.jsonlPath);
+        }
         if (options.merge)
-            return runMergeMode(options, sinks);
+            return runMergeMode(options, jsonl);
         if (!options.campaignPath.empty())
-            return runCampaignMode(options, sinks);
-        return runSweepMode(options, sinks);
+            return runCampaignMode(options, jsonl);
+        return runSweepMode(options, jsonl);
     } catch (const CampaignError &e) {
         std::fprintf(stderr, "dgrun: %s\n", e.what());
         return 2;

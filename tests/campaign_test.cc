@@ -203,6 +203,29 @@ TEST(Manifest, LoadRejectsCorruptInput)
     EXPECT_THROW(loadManifest(path), CampaignError);
 }
 
+TEST(Manifest, UnrepresentableJobTimeoutIsRejectedOnExpansion)
+{
+    // 18446744073709552 s is 2^64 ms plus 384 ms: multiplied out in 64
+    // bits it would arm a 384 ms timeout. A header carrying it loads
+    // (it is well-formed) but must not expand into jobs.
+    const std::string path = tempPath("manifest_timeout.jsonl");
+    CampaignManifest manifest = smallManifest(1, 2'000);
+    manifest.jobTimeoutSec = 18446744073709552ULL;
+    writeManifest(path, manifest);
+
+    CampaignManifest loaded = loadManifest(path);
+    EXPECT_EQ(loaded.jobTimeoutSec, 18446744073709552ULL);
+    EXPECT_THROW(manifestSpec(loaded), CampaignError);
+    loaded.fuzzCount = 3;
+    EXPECT_THROW(manifestSpec(loaded), CampaignError);
+
+    // A century is long but representable: it arms as given.
+    CampaignManifest century = smallManifest(1, 2'000);
+    century.jobTimeoutSec = 100ULL * 365 * 24 * 3600;
+    EXPECT_EQ(manifestSpec(century).configs.front().jobTimeoutMs,
+              century.jobTimeoutSec * 1000);
+}
+
 TEST(Merge, ThreeShardJournalsMatchSingleProcessByteForByte)
 {
     const SweepSpec spec = smallSpec(1'000);

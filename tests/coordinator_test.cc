@@ -401,18 +401,20 @@ TEST(Coordinator, HeartbeatAndLiveGaugesComeFromTheReporter)
     const std::vector<std::string> lines = capture.lines();
     ASSERT_GE(lines.size(), 2u);
     std::size_t done = 0, total = 0, retried = 0, stolen = 0, alive = 0;
-    double percent = 0.0, rate = 0.0, eta = 0.0;
+    double percent = 0.0, rate = 0.0;
+    char eta[16] = "";  // "-" until a job completes, else e.g. "3s".
     bool sawLiveWorkers = false;
     for (const std::string &line : lines) {
         EXPECT_EQ(line.back(), '\n') << line;
         ASSERT_EQ(std::sscanf(line.c_str(),
                               "[campaign] heartbeat %zu/%zu jobs (%lf%%), "
-                              "%lf jobs/s, ETA %lfs, %zu retried, %zu "
+                              "%lf jobs/s, ETA %15[^,], %zu retried, %zu "
                               "stolen, %zu worker(s) alive",
-                              &done, &total, &percent, &rate, &eta, &retried,
+                              &done, &total, &percent, &rate, eta, &retried,
                               &stolen, &alive),
                   8)
             << line;
+        EXPECT_EQ(std::string(eta) == "-", done == 0) << line;
         EXPECT_LE(done, total) << line;
         EXPECT_EQ(total, report.total) << line;
         EXPECT_LE(alive, options.workers) << line;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Round-trip edge cases for the result sinks' hand-rolled numeric
+ * Round-trip edge cases for toJsonLine's hand-rolled numeric
  * serialization — the bug class this file pins down:
  *
  *  - strtoull silently wraps "-1" to 2^64-1 and skips leading
@@ -10,9 +10,6 @@
  *    and must read back exactly;
  *  - strtod sets ERANGE for *underflow* too, with a perfectly valid
  *    subnormal result — only overflow may be rejected.
- *
- * The CSV sink has no reader (CSV is write-only output), so its exact
- * text is pinned instead.
  */
 
 #include <gtest/gtest.h>
@@ -51,10 +48,7 @@ baseOutcome()
 JobOutcome
 jsonlRoundTrip(const JobOutcome &outcome)
 {
-    std::stringstream ss;
-    JsonlSink sink(ss);
-    sink.consume(outcome);
-    sink.finish();
+    std::stringstream ss(toJsonLine(outcome) + "\n");
     const auto loaded = readJsonl(ss);
     EXPECT_EQ(loaded.size(), 1u);
     return loaded.at(0);
@@ -153,48 +147,6 @@ TEST(SubnormalDoubles, RoundTripExactly)
     EXPECT_EQ(viaJsonl.result.ipc, denormMin);
     EXPECT_EQ(viaJsonl.result.dgCoverage, 1.5e-310);
     EXPECT_EQ(viaJsonl.result.dgAccuracy, -denormMin);
-}
-
-TEST(CsvSink, WritesExactText)
-{
-    // CSV is write-only output, so its bytes are the contract: the
-    // sorted union of counter columns, an empty cell for a counter a
-    // row lacks, RFC-4180 quoting, and doubles spelled as in JSONL.
-    JobOutcome first = baseOutcome();
-    first.result.ipc = std::numeric_limits<double>::quiet_NaN();
-    first.result.dgCoverage = std::numeric_limits<double>::denorm_min();
-    first.result.dgAccuracy = -std::numeric_limits<double>::infinity();
-    first.result.counters = {{"core.cycles", 7}, {"z.only", 3}};
-
-    JobOutcome second = baseOutcome();
-    second.index = 1;
-    second.workload = "mcf";
-    second.configLabel = "STT";
-    second.ok = false;
-    second.error = "bad \"x\", y\nz";
-    second.result.ipc = std::numeric_limits<double>::infinity();
-    second.result.dgCoverage = 1.5e-310;
-    second.result.counters = {{"a.first", 1}, {"core.cycles", 9}};
-
-    std::ostringstream ss;
-    CsvSink sink(ss);
-    sink.consume(first);
-    sink.consume(second);
-    sink.finish();
-    EXPECT_EQ(ss.str(),
-              "index,workload,suite,config,ok,error,cycles,instructions,"
-              "ipc,l1Accesses,l1Misses,l2Accesses,l2Misses,l3Accesses,"
-              "dramAccesses,dgCoverage,dgAccuracy,dgAttached,dgIssued,"
-              "dgVerifiedOk,dgVerifiedBad,committedLoads,committedStores,"
-              "committedBranches,branchSquashes,memOrderSquashes,"
-              "domDelayed,stlForwards,cacheDigest,uarchDigest,"
-              "counter:a.first,counter:core.cycles,counter:z.only\n"
-              "0,gobmk,SPEC2006,DoM+AP,true,,1000,500,NaN,0,0,0,0,0,0,"
-              "4.9406564584124654e-324,-Infinity,"
-              "0,0,0,0,0,0,0,0,0,0,0,0,0,,7,3\n"
-              "1,mcf,SPEC2006,STT,false,\"bad \"\"x\"\", y\nz\",1000,500,"
-              "Infinity,0,0,0,0,0,0,1.5000000000000201e-310,0,"
-              "0,0,0,0,0,0,0,0,0,0,0,0,0,1,9,\n");
 }
 
 TEST(DoubleParsing, OverflowIsStillFatal)

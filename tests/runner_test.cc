@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel experiment runner: thread-count-independent
- * determinism, per-job failure isolation, and sink round-tripping.
+ * determinism, per-job failure isolation, and JSONL round-tripping.
  */
 
 #include <gtest/gtest.h>
@@ -191,23 +191,18 @@ expectOutcomeEq(const JobOutcome &actual, const JobOutcome &expected)
     EXPECT_EQ(a.counters, e.counters);
 }
 
-TEST(ResultSinks, JsonlRoundTripsAllFields)
+TEST(ResultJsonl, RoundTripsAllFields)
 {
     const std::vector<JobOutcome> original = {fullyPopulatedOutcome(),
                                               failedOutcome()};
-    std::stringstream ss;
-    JsonlSink sink(ss);
-    for (const JobOutcome &outcome : original)
-        sink.consume(outcome);
-    sink.finish();
-
+    std::stringstream ss(jsonlOf(original));
     const std::vector<JobOutcome> loaded = readJsonl(ss);
     ASSERT_EQ(loaded.size(), original.size());
     for (std::size_t i = 0; i < original.size(); ++i)
         expectOutcomeEq(loaded[i], original[i]);
 }
 
-TEST(ResultSinks, SinksAttachedToRunnerSeeIndexOrder)
+TEST(ExperimentRunner, FourThreadsReturnIndexOrder)
 {
     const SweepSpec spec = smallSpec(1'000);
 
@@ -219,17 +214,13 @@ TEST(ResultSinks, SinksAttachedToRunnerSeeIndexOrder)
         result.cycles = job.index;
         return result;
     };
-    ExperimentRunner runner(options);
-    std::stringstream ss;
-    JsonlSink sink(ss);
-    runner.addSink(&sink);
-    runner.run(spec);
+    const std::vector<JobOutcome> outcomes =
+        ExperimentRunner(options).run(spec);
 
-    const std::vector<JobOutcome> loaded = readJsonl(ss);
-    ASSERT_EQ(loaded.size(), spec.jobCount());
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_EQ(loaded[i].index, i);
-        EXPECT_EQ(loaded[i].result.cycles, i);
+    ASSERT_EQ(outcomes.size(), spec.jobCount());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_EQ(outcomes[i].index, i);
+        EXPECT_EQ(outcomes[i].result.cycles, i);
     }
 }
 

@@ -5,7 +5,6 @@
 #define DGSIM_TESTS_SWEEP_FIXTURES_HH
 
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,15 +28,14 @@ smallSpec(std::uint64_t instructions)
             evaluationConfigs(paperRunConfig(instructions))};
 }
 
-/** @p outcomes as a JsonlSink writes them (no host metrics). */
+/** @p outcomes as dgrun --jsonl writes them (no host metrics). */
 inline std::string
 jsonlOf(const std::vector<JobOutcome> &outcomes)
 {
-    std::ostringstream ss;
-    JsonlSink sink(ss);
+    std::string text;
     for (const JobOutcome &outcome : outcomes)
-        sink.consume(outcome);
-    return ss.str();
+        text += toJsonLine(outcome) + "\n";
+    return text;
 }
 
 /**
@@ -64,6 +62,13 @@ class HeartbeatCapture
 
     HeartbeatCapture(const HeartbeatCapture &) = delete;
     HeartbeatCapture &operator=(const HeartbeatCapture &) = delete;
+
+    /** True once the reporter has written any heartbeat line. */
+    bool
+    written()
+    {
+        return std::ftell(stream_) > 0;
+    }
 
     /** Shut telemetry down (its final tick writes the last line), then
         return every line written, each with its '\n'. */

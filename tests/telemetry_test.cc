@@ -51,7 +51,6 @@ using runner::JournalWriter;
 using runner::JsonParseError;
 using runner::JsonParser;
 using runner::JsonValue;
-using runner::JsonlSink;
 using runner::RunnerOptions;
 using runner::claimsPath;
 using runner::jobKey;
@@ -550,6 +549,45 @@ TEST(TelemetryHeartbeat, CarriesRetryCount)
               2);
     EXPECT_EQ(total, jobs.size());
     EXPECT_NE(text.find("retried\n"), std::string::npos);
+}
+
+TEST(TelemetryHeartbeat, EtaIsUnknownBeforeTheFirstCompletion)
+{
+    CampaignManifest manifest;
+    manifest.shards = 1;
+    manifest.suite = "gobmk,h264ref";
+    manifest.instructions = 1'000;
+    const std::vector<Job> jobs = manifestSpec(manifest).expand();
+
+    telemetry::TelemetryConfig config;
+    config.progressPeriodSec = 0.005;
+    runner::HeartbeatCapture capture(config);
+    RunnerOptions options;
+    options.threads = 1;
+    options.progress = false;
+    // A slow mock that also holds each job until a heartbeat is out,
+    // so the first line is printed before any job completes.
+    options.execute = [&capture](const Job &job) {
+        for (int i = 0; i < 10'000 && !capture.written(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return slowMockResult(job);
+    };
+    ExperimentRunner(options).run(jobs);
+
+    const std::vector<std::string> lines = capture.lines();
+    ASSERT_GE(lines.size(), 2u);
+    const std::string total = std::to_string(jobs.size());
+    // No completion, no rate: the ETA is unknown rather than 0s.
+    EXPECT_EQ(lines.front(), "[runner] heartbeat 0/" + total +
+                                 " jobs (0.0%), 0.00 jobs/s, ETA -, "
+                                 "0 retried\n");
+    // All done: nothing remains, so the ETA is known again.
+    EXPECT_EQ(lines.back().find("[runner] heartbeat " + total + "/" +
+                                total + " jobs (100.0%)"),
+              0u)
+        << lines.back();
+    EXPECT_NE(lines.back().find(", ETA 0s, "), std::string::npos)
+        << lines.back();
 }
 
 TEST(TelemetryHeartbeat, InfinitePeriodReportsOnlyAtExit)
