@@ -10,11 +10,16 @@
  *     branches resolve in order (§4.6) — the eager ablation leaks.
  *  5. The Figure 4b register-secret gadget shows the threat-model
  *     difference between DoM and NDA-P/STT (§3).
+ *
+ * The gadgets are the checked-in seeds corpus/spectre_v1.dgasm,
+ * corpus/dom_fig4a.dgasm and corpus/dom_fig4b.dgasm.
  */
 
 #include <cstdio>
+#include <functional>
+#include <string>
 
-#include "security/gadgets.hh"
+#include "fuzz/dgasm.hh"
 #include "security/leak.hh"
 
 namespace
@@ -29,6 +34,15 @@ report(const char *name, const security::LeakCheck &check, bool expect_leak)
                 check.leaked() ? "LEAKS" : "blocked",
                 expect_leak ? "LEAKS" : "blocked",
                 check.leaked() == expect_leak ? "[ok]" : "[UNEXPECTED]");
+}
+
+/** The corpus seed corpus/@p stem.dgasm as a leak-oracle builder. */
+std::function<Program(std::uint64_t)>
+seed(const std::string &stem)
+{
+    const fuzz::AttackerIr ir =
+        fuzz::loadDgasm(DGSIM_CORPUS_DIR "/" + stem + ".dgasm");
+    return [ir](std::uint64_t secret) { return ir.lower(secret); };
 }
 
 SimConfig
@@ -48,20 +62,21 @@ main()
 {
     using namespace dgsim;
     using security::checkLeak;
+    const auto spectreV1 = seed("spectre_v1");
+    const auto fig4a = seed("dom_fig4a");
+    const auto fig4b = seed("dom_fig4b");
 
     std::printf("=== Spectre v1 (bounds-check bypass, universal read "
                 "gadget) ===\n");
     report("Unsafe baseline",
-           checkLeak(security::spectreV1Gadget,
-                     configFor(Scheme::Unsafe, false)),
+           checkLeak(spectreV1, configFor(Scheme::Unsafe, false)),
            true);
     for (Scheme scheme : {Scheme::NdaP, Scheme::Stt, Scheme::Dom}) {
         for (bool ap : {false, true}) {
             const std::string name =
                 schemeName(scheme) + (ap ? "+AP (doppelgangers)" : "");
             report(name.c_str(),
-                   checkLeak(security::spectreV1Gadget,
-                             configFor(scheme, ap)),
+                   checkLeak(spectreV1, configFor(scheme, ap)),
                    false);
         }
     }
@@ -69,34 +84,28 @@ main()
     std::printf("\n=== Figure 4a: speculative secret steering "
                 "address-predicted loads ===\n");
     report("DoM (no AP)",
-           checkLeak(security::domSpeculativeSecretGadget,
-                     configFor(Scheme::Dom, false), 2, 3),
+           checkLeak(fig4a, configFor(Scheme::Dom, false), 2, 3),
            false);
     report("DoM+AP, in-order branch resolution (4.6)",
-           checkLeak(security::domSpeculativeSecretGadget,
-                     configFor(Scheme::Dom, true), 2, 3),
+           checkLeak(fig4a, configFor(Scheme::Dom, true), 2, 3),
            false);
     report("DoM+AP, eager resolution (INSECURE ablation)",
-           checkLeak(security::domSpeculativeSecretGadget,
-                     configFor(Scheme::Dom, true, /*eager=*/true), 2, 3),
+           checkLeak(fig4a, configFor(Scheme::Dom, true, /*eager=*/true), 2,
+                     3),
            true);
 
     std::printf("\n=== Figure 4b: secret residing in a register ===\n");
     report("DoM (register protection)",
-           checkLeak(security::registerSecretGadget,
-                     configFor(Scheme::Dom, false), 2, 3),
+           checkLeak(fig4b, configFor(Scheme::Dom, false), 2, 3),
            false);
     report("DoM+AP",
-           checkLeak(security::registerSecretGadget,
-                     configFor(Scheme::Dom, true), 2, 3),
+           checkLeak(fig4b, configFor(Scheme::Dom, true), 2, 3),
            false);
     report("NDA-P (register secrets out of scope)",
-           checkLeak(security::registerSecretGadget,
-                     configFor(Scheme::NdaP, false), 2, 3),
+           checkLeak(fig4b, configFor(Scheme::NdaP, false), 2, 3),
            true);
     report("STT (register secrets out of scope)",
-           checkLeak(security::registerSecretGadget,
-                     configFor(Scheme::Stt, false), 2, 3),
+           checkLeak(fig4b, configFor(Scheme::Stt, false), 2, 3),
            true);
 
     std::printf("\nA \"LEAKS\" row means the final cache-hierarchy state "

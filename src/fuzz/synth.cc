@@ -10,7 +10,7 @@ namespace dgsim::fuzz
 namespace
 {
 
-// Register conventions (mirrors src/security/gadgets.cc, extended).
+// Register conventions (those of the corpus/*.dgasm seeds, extended).
 constexpr RegIndex rT = 1;     ///< Loop counter.
 constexpr RegIndex rBound = 2;
 constexpr RegIndex rIdx = 3;
@@ -28,7 +28,7 @@ constexpr RegIndex rEnc3 = 15; ///< Third (nested-window) encoding.
 constexpr RegIndex kScratchBase = 16; ///< 16..23: committed filler.
 constexpr unsigned kScratchCount = 8;
 
-// Memory layout (distinct regions; see gadgets.cc).
+// Memory layout (distinct regions; as in the corpus/*.dgasm seeds).
 constexpr Addr kSizeWord = 0x1000;
 constexpr Addr kArray1 = 0x2000;
 constexpr Addr kX = 0x5000;

@@ -8,8 +8,8 @@
  * workers and any hit can be regenerated anywhere from its two
  * integers (the post-processing pass does exactly that).
  *
- * The generated shape generalizes the hand-written Spectre-v1 gadget
- * (src/security/gadgets.cc): a pinned train/attack loop whose bounds
+ * The generated shape generalizes the hand-written Spectre-v1 seed
+ * (corpus/spectre_v1.dgasm): a pinned train/attack loop whose bounds
  * check is mistrained for `trainRounds` rounds and bypassed once, with
  * a randomized transient window drawn from the vocabulary —
  * secret-indexed probe-array loads (with varied value encodings, so

@@ -123,9 +123,10 @@ leak fuzzing (relational attacker-program oracle):
   --fuzz-minimize K   also minimize up to K *expected* Unsafe-scheme
                       hits (confirmed secure-scheme findings are always
                       all minimized; default 2)
-  --fuzz-replay FILE  replay one .dgasm repro through the full oracle,
-                      print the per-configuration verdict table and
-                      exit (code 4 when a secure scheme leaks)
+  --fuzz-replay FILE  replay one .dgasm file (a repro or a corpus/ seed)
+                      through the full oracle, print the
+                      per-configuration verdict table and exit (code 4
+                      when a secure scheme leaks)
 
 fleet telemetry (host-side only; results stay byte-identical):
   --telemetry FILE    span tracing: write one merged Chrome trace-event
@@ -591,17 +592,26 @@ printSummaryTable(const std::vector<JobOutcome> &outcomes)
  * Write @p outcomes to the --jsonl file, when one is open, one
  * toJsonLine() a line. Lines carry host metrics (wall time, KIPS, trace
  * and watchdog metadata) unless --no-host-metrics asked for the
- * byte-comparable form.
+ * byte-comparable form. Returns false, after saying so on stderr, when
+ * the write failed (a full disk): a run whose results were lost must
+ * not exit 0.
  */
-void
+bool
 writeJsonl(const std::vector<JobOutcome> &outcomes, const Options &options,
            std::ofstream &jsonl)
 {
     if (!jsonl.is_open())
-        return;
+        return true;
     for (const JobOutcome &outcome : outcomes)
         jsonl << toJsonLine(outcome, options.hostMetrics) << '\n';
+    jsonl.flush();
+    if (!jsonl) {
+        std::fprintf(stderr, "dgrun: failed writing %s\n",
+                     options.jsonlPath.c_str());
+        return false;
+    }
     std::fprintf(stderr, "[dgrun] wrote %s\n", options.jsonlPath.c_str());
+    return true;
 }
 
 /**
@@ -781,9 +791,9 @@ runMergeMode(const Options &options, std::ofstream &jsonl)
                      options.journalPath.c_str());
     }
 
-    writeJsonl(outcomes, options, jsonl);
+    const bool wrote = writeJsonl(outcomes, options, jsonl);
     int exitCode = printSummaryTable(outcomes);
-    if (missing != 0)
+    if (missing != 0 || !wrote)
         exitCode = 1;
     return runFuzzPost(outcomes, sweep, options, exitCode);
 }
@@ -819,8 +829,10 @@ runCampaignMode(const Options &options, std::ofstream &jsonl)
                  report.stolen, report.duplicates, report.passes,
                  report.workerDeaths);
 
-    writeJsonl(report.outcomes, options, jsonl);
+    const bool wrote = writeJsonl(report.outcomes, options, jsonl);
     int exitCode = printSummaryTable(report.outcomes);
+    if (!wrote)
+        exitCode = 1;
     if (report.missing != 0) {
         std::fprintf(stderr,
                      "[dgrun] campaign incomplete: re-run --campaign %s "
@@ -980,8 +992,10 @@ runSweepMode(const Options &options, std::ofstream &jsonl)
     std::fprintf(stderr, "[dgrun] completed in %.2fs on %u thread(s)\n",
                  seconds.count(), threads);
 
-    writeJsonl(outcomes, options, jsonl);
+    const bool wrote = writeJsonl(outcomes, options, jsonl);
     int exitCode = printSummaryTable(outcomes);
+    if (!wrote)
+        exitCode = 1;
 
     if (!options.tracePath.empty()) {
         std::uint64_t traceRecords = 0;

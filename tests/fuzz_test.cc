@@ -14,6 +14,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/hash.hh"
 #include "fuzz/dgasm.hh"
@@ -49,6 +50,23 @@ checkUnder(const fuzz::AttackerIr &ir, const SimConfig &config,
         return ir.lower(secret);
     };
     return security::checkLeakPairs(builder, config, pairs);
+}
+
+/** @p ir cut down to its pinned ops and data words, as dgasm text. */
+std::string
+pinnedScaffold(const fuzz::AttackerIr &ir)
+{
+    fuzz::AttackerIr scaffold;
+    scaffold.name = ir.name;
+    for (const fuzz::IrOp &op : ir.ops) {
+        if (op.pinned)
+            scaffold.ops.push_back(op);
+    }
+    for (const fuzz::IrData &word : ir.data) {
+        if (word.pinned)
+            scaffold.data.push_back(word);
+    }
+    return fuzz::writeDgasm(scaffold);
 }
 
 /**
@@ -179,25 +197,34 @@ TEST(FuzzOracleTest, VerdictClassesArePinned)
 
 TEST(FuzzMinimizeTest, LeakPreservingSizeMonotoneFixedPoint)
 {
+    // Two inputs: the first synthesized candidate that leaks under
+    // Unsafe, and the hand-written Spectre v1 seed of the corpus.
     std::uint64_t key = 0;
     security::LeakCheck check;
     ASSERT_TRUE(findUnsafeLeak(1, 16, key, check));
-    const fuzz::AttackerIr ir = fuzz::synthesize(1, key);
-    const security::SecretPair pair{check.secretA, check.secretB};
-
-    const fuzz::MinimizeResult minimized =
-        fuzz::minimizeLeak(ir, unsafeColumn(), pair);
-    EXPECT_TRUE(minimized.converged);
-    // Size-monotone: deletions only.
-    EXPECT_LE(minimized.ir.instructionCount(), ir.instructionCount());
-    EXPECT_LE(minimized.ir.data.size(), ir.data.size());
-    // Leak-preserving: the output still leaks under the exact
-    // (config, pair) that produced the hit.
-    EXPECT_TRUE(checkUnder(minimized.ir, unsafeColumn(), {pair}).leaked());
-    // Fixed point: minimizing the minimum changes nothing.
-    const fuzz::MinimizeResult again =
-        fuzz::minimizeLeak(minimized.ir, unsafeColumn(), pair);
-    EXPECT_EQ(fuzz::writeDgasm(minimized.ir), fuzz::writeDgasm(again.ir));
+    const std::pair<fuzz::AttackerIr, security::SecretPair> inputs[] = {
+        {fuzz::synthesize(1, key), {check.secretA, check.secretB}},
+        {fuzz::loadDgasm(DGSIM_CORPUS_DIR "/spectre_v1.dgasm"), {3, 5}},
+    };
+    for (const auto &[ir, pair] : inputs) {
+        SCOPED_TRACE(ir.name);
+        const fuzz::MinimizeResult minimized =
+            fuzz::minimizeLeak(ir, unsafeColumn(), pair);
+        EXPECT_TRUE(minimized.converged);
+        // Size-monotone: deletions only, and never of the scaffold.
+        EXPECT_LE(minimized.ir.instructionCount(), ir.instructionCount());
+        EXPECT_LE(minimized.ir.data.size(), ir.data.size());
+        EXPECT_EQ(pinnedScaffold(minimized.ir), pinnedScaffold(ir));
+        // Leak-preserving: the output still leaks under the exact
+        // (config, pair) that produced the hit.
+        EXPECT_TRUE(
+            checkUnder(minimized.ir, unsafeColumn(), {pair}).leaked());
+        // Fixed point: minimizing the minimum changes nothing.
+        const fuzz::MinimizeResult again =
+            fuzz::minimizeLeak(minimized.ir, unsafeColumn(), pair);
+        EXPECT_EQ(fuzz::writeDgasm(minimized.ir),
+                  fuzz::writeDgasm(again.ir));
+    }
 }
 
 TEST(FuzzMinimizeTest, NonLeakingInputReturnsUnchangedAfterOneTest)

@@ -2,7 +2,8 @@
  * @file
  * Security validation (paper §3, §4): differential runs of the attack
  * gadgets with two secrets, asserting exactly which configurations leak
- * into the memory hierarchy.
+ * into the memory hierarchy. The three gadgets are the checked-in
+ * .dgasm seeds in corpus/, lowered with each secret.
  *
  *  - Spectre v1 leaks on the unsafe baseline and is blocked by NDA-P,
  *    STT and DoM — and stays blocked when Doppelganger Loads are added
@@ -17,16 +18,27 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
 
+#include "fuzz/dgasm.hh"
 #include "isa/assembler.hh"
-#include "security/gadgets.hh"
 #include "security/leak.hh"
 
 namespace dgsim
 {
 namespace
 {
+
+/** The corpus seed corpus/@p stem.dgasm as a leak-oracle builder. */
+std::function<Program(std::uint64_t)>
+seed(const std::string &stem)
+{
+    const fuzz::AttackerIr ir =
+        fuzz::loadDgasm(DGSIM_CORPUS_DIR "/" + stem + ".dgasm");
+    return [ir](std::uint64_t secret) { return ir.lower(secret); };
+}
 
 SimConfig
 makeConfig(Scheme scheme, bool ap)
@@ -42,7 +54,7 @@ makeConfig(Scheme scheme, bool ap)
 TEST(SpectreV1Test, LeaksOnUnsafeBaseline)
 {
     const auto check = security::checkLeak(
-        security::spectreV1Gadget, makeConfig(Scheme::Unsafe, false));
+        seed("spectre_v1"), makeConfig(Scheme::Unsafe, false));
     EXPECT_TRUE(check.leaked())
         << "the unprotected core must reproduce the Spectre leak";
 }
@@ -50,7 +62,7 @@ TEST(SpectreV1Test, LeaksOnUnsafeBaseline)
 TEST(SpectreV1Test, LeaksOnUnsafeBaselineWithAp)
 {
     const auto check = security::checkLeak(
-        security::spectreV1Gadget, makeConfig(Scheme::Unsafe, true));
+        seed("spectre_v1"), makeConfig(Scheme::Unsafe, true));
     EXPECT_TRUE(check.leaked());
 }
 
@@ -62,7 +74,7 @@ class SecureSchemeBlocksV1
 TEST_P(SecureSchemeBlocksV1, NoLeak)
 {
     const auto [scheme, ap] = GetParam();
-    const auto check = security::checkLeak(security::spectreV1Gadget,
+    const auto check = security::checkLeak(seed("spectre_v1"),
                                            makeConfig(scheme, ap));
     EXPECT_FALSE(check.leaked())
         << schemeName(scheme) << (ap ? "+AP" : "")
@@ -88,16 +100,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DomFig4aTest, BaselineDomBlocks)
 {
     const auto check = security::checkLeak(
-        security::domSpeculativeSecretGadget,
-        makeConfig(Scheme::Dom, false), /*secret_a=*/2, /*secret_b=*/3);
+        seed("dom_fig4a"), makeConfig(Scheme::Dom, false), /*secret_a=*/2,
+        /*secret_b=*/3);
     EXPECT_FALSE(check.leaked());
 }
 
 TEST(DomFig4aTest, DomWithApBlocksViaInOrderResolution)
 {
     const auto check = security::checkLeak(
-        security::domSpeculativeSecretGadget,
-        makeConfig(Scheme::Dom, true), /*secret_a=*/2, /*secret_b=*/3);
+        seed("dom_fig4a"), makeConfig(Scheme::Dom, true), /*secret_a=*/2,
+        /*secret_b=*/3);
     EXPECT_FALSE(check.leaked())
         << "DoM+AP with in-order branch resolution (§4.6) must not leak";
 }
@@ -106,9 +118,8 @@ TEST(DomFig4aTest, EagerBranchResolutionAblationLeaks)
 {
     SimConfig config = makeConfig(Scheme::Dom, true);
     config.domEagerBranchResolution = true; // intentionally insecure
-    const auto check = security::checkLeak(
-        security::domSpeculativeSecretGadget, config, /*secret_a=*/2,
-        /*secret_b=*/3);
+    const auto check = security::checkLeak(seed("dom_fig4a"), config,
+                                           /*secret_a=*/2, /*secret_b=*/3);
     EXPECT_TRUE(check.leaked())
         << "without §4.6's in-order rule the doppelganger misses form "
            "an implicit channel; this ablation must reproduce the leak";
@@ -121,8 +132,8 @@ TEST(DomFig4aTest, NdaAndSttBlockTheSpeculativeSecret)
     for (Scheme scheme : {Scheme::NdaP, Scheme::Stt}) {
         for (bool ap : {false, true}) {
             const auto check = security::checkLeak(
-                security::domSpeculativeSecretGadget,
-                makeConfig(scheme, ap), /*secret_a=*/2, /*secret_b=*/3);
+                seed("dom_fig4a"), makeConfig(scheme, ap), /*secret_a=*/2,
+                /*secret_b=*/3);
             EXPECT_FALSE(check.leaked())
                 << schemeName(scheme) << (ap ? "+AP" : "");
         }
@@ -135,7 +146,7 @@ TEST(RegisterSecretTest, DomProtectsRegisterSecrets)
 {
     for (bool ap : {false, true}) {
         const auto check = security::checkLeak(
-            security::registerSecretGadget, makeConfig(Scheme::Dom, ap),
+            seed("dom_fig4b"), makeConfig(Scheme::Dom, ap),
             /*secret_a=*/2, /*secret_b=*/3);
         EXPECT_FALSE(check.leaked())
             << "DoM's threat model covers register secrets (ap=" << ap
@@ -151,7 +162,7 @@ TEST(RegisterSecretTest, NdaAndSttDoNotCoverRegisterSecrets)
     for (Scheme scheme : {Scheme::Unsafe, Scheme::NdaP, Scheme::Stt}) {
         for (bool ap : {false, true}) {
             const auto check = security::checkLeak(
-                security::registerSecretGadget, makeConfig(scheme, ap),
+                seed("dom_fig4b"), makeConfig(scheme, ap),
                 /*secret_a=*/2, /*secret_b=*/3);
             EXPECT_TRUE(check.leaked())
                 << schemeName(scheme) << (ap ? "+AP" : "");
@@ -189,8 +200,7 @@ TEST(LeakOracleHealthTest, WedgedGadgetIsInconclusiveNotFatal)
     // classifies instead of aborting the process.
     SimConfig config = makeConfig(Scheme::Unsafe, false);
     config.wedgeNeverResolve = true;
-    const auto check = security::checkLeak(security::spectreV1Gadget,
-                                           config);
+    const auto check = security::checkLeak(seed("spectre_v1"), config);
     EXPECT_TRUE(check.inconclusive());
     EXPECT_NE(check.reason.find("watchdog"), std::string::npos)
         << check.reason;
@@ -259,9 +269,8 @@ TEST(SecretPairsTest, DeterministicAndCoversStructuralChannels)
 
 TEST(LeakCheckerTest, SameSecretProducesSameDigest)
 {
-    const auto check =
-        security::checkLeak(security::spectreV1Gadget,
-                            makeConfig(Scheme::Unsafe, false), 7, 7);
+    const auto check = security::checkLeak(
+        seed("spectre_v1"), makeConfig(Scheme::Unsafe, false), 7, 7);
     EXPECT_FALSE(check.leaked())
         << "equal secrets must give bit-identical microarchitectural "
            "state (simulator determinism)";
