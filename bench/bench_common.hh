@@ -7,14 +7,15 @@
 #ifndef DGSIM_BENCH_BENCH_COMMON_HH
 #define DGSIM_BENCH_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/buildinfo.hh"
+#include "common/number.hh"
 #include "paper/reference.hh"
 #include "runner/paper_matrix.hh"
 #include "workloads/suite.hh"
@@ -30,9 +31,9 @@ struct BenchArgs
 };
 
 /**
- * Parse `[instructions] [--threads N] [--retries N]`. Malformed or zero
- * values exit 2 with a usage message instead of silently turning into a
- * 0-instruction run (strtoull's default).
+ * Parse `[instructions] [--threads N] [--retries N]`: counts under
+ * parseU64()'s rule. A malformed, zero (but for --retries) or too large
+ * value exits 2 with a usage message instead of running something else.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv)
@@ -44,19 +45,16 @@ parseBenchArgs(int argc, char **argv)
                      argv[0], msg.c_str(), argv[0]);
         std::exit(2);
     };
-    auto parse = [&](const char *text, const std::string &what,
-                     bool zero_ok) -> std::uint64_t {
-        errno = 0;
-        char *end = nullptr;
-        const std::uint64_t value = std::strtoull(text, &end, 10);
-        if (*text == '\0' || *end != '\0' || errno == ERANGE ||
-            (value == 0 && !zero_ok))
-            fail(what + " must be a " +
-                 (zero_ok ? "non-negative" : "positive") +
-                 " integer, got '" + text + "'");
-        return value;
+    auto count = [&](const char *text, const std::string &what,
+                     std::uint64_t min, std::uint64_t max) {
+        const auto value = parseU64(text, max);
+        if (!value || *value < min)
+            fail(what + " must be an integer in [" + std::to_string(min) +
+                 ", " + std::to_string(max) + "], got '" + text + "'");
+        return *value;
     };
 
+    constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
     BenchArgs args;
     bool haveBudget = false;
     for (int i = 1; i < argc; ++i) {
@@ -65,13 +63,16 @@ parseBenchArgs(int argc, char **argv)
             fail(arg + " needs an argument");
         if (arg == "--threads") {
             args.matrix.threads =
-                static_cast<unsigned>(parse(argv[++i], arg, false));
+                static_cast<unsigned>(count(argv[++i], arg, 1, kMaxUnsigned));
         } else if (arg == "--retries") {
-            // Zero is legal here: it means "fail fast".
-            args.matrix.retries =
-                static_cast<unsigned>(parse(argv[++i], arg, true));
+            // Zero is legal here: it means "fail fast". One attempt more
+            // than the retries must still fit.
+            args.matrix.retries = static_cast<unsigned>(
+                count(argv[++i], arg, 0, kMaxUnsigned - 1));
         } else if (!haveBudget) {
-            args.instructions = parse(argv[i], "instruction budget", false);
+            args.instructions =
+                count(argv[i], "instruction budget", 1,
+                      std::numeric_limits<std::uint64_t>::max());
             haveBudget = true;
         } else {
             fail("unexpected argument '" + arg + "'");

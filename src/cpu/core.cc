@@ -208,16 +208,10 @@ OooCore::run()
     }
     while (!done_) {
         tick();
-        if (config_.maxCycles != 0 && cycle_ >= config_.maxCycles) {
-            // A sweep whose config systematically hits the limit would
-            // otherwise print one of these per job; the per-job numbers
-            // are in the stats dump regardless.
-            DGSIM_WARN_ONCE(program_.name + ": cycle limit reached at " +
-                            std::to_string(cycle_) + " cycles, " +
-                            std::to_string(committed_count_) +
-                            " instructions (warned once per process)");
+        // Reaching the limit is reported by whoever set it: the runner
+        // warns for sweep jobs, the leak oracle calls it Inconclusive.
+        if (config_.maxCycles != 0 && cycle_ >= config_.maxCycles)
             done_ = true;
-        }
         if (!config_.idleSkip || progress_ || done_)
             continue;
         // Quiescent tick: every later tick before the next event is a

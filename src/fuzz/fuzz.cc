@@ -8,6 +8,7 @@
 #include "fuzz/dgasm.hh"
 #include "fuzz/minimize.hh"
 #include "fuzz/synth.hh"
+#include "runner/json.hh"
 #include "sim/simulator.hh"
 
 namespace dgsim::fuzz
@@ -161,20 +162,22 @@ postProcess(const std::vector<runner::JobOutcome> &outcomes,
 
             findings_out
                 << "{\"key\":" << u64s(key) << ",\"seed\":"
-                << u64s(options.fuzzSeed) << ",\"name\":\"" << ir.name
-                << "\",\"config\":\"" << verdict.configLabel
+                << u64s(options.fuzzSeed) << ",\"name\":\""
+                << runner::jsonEscape(ir.name) << "\",\"config\":\""
+                << runner::jsonEscape(verdict.configLabel)
                 << "\",\"expected\":"
                 << (verdict.expected ? "true" : "false")
                 << ",\"secretA\":" << u64s(pair.a) << ",\"secretB\":"
                 << u64s(pair.b) << ",\"digestA\":"
                 << u64s(verdict.check.digestA) << ",\"digestB\":"
                 << u64s(verdict.check.digestB) << ",\"instructions\":"
-                << ir.instructionCount() << ",\"repro\":\"" << repro_path
-                << "\"";
+                << ir.instructionCount() << ",\"repro\":\""
+                << runner::jsonEscape(repro_path) << "\"";
             if (minimize) {
                 findings_out << ",\"minimized\":true,\"minInstructions\":"
                              << minimized.ir.instructionCount()
-                             << ",\"minRepro\":\"" << min_path
+                             << ",\"minRepro\":\""
+                             << runner::jsonEscape(min_path)
                              << "\",\"minTests\":" << minimized.testsRun
                              << ",\"minConverged\":"
                              << (minimized.converged ? "true" : "false");

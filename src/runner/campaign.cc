@@ -1,10 +1,8 @@
 #include "runner/campaign.hh"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/hash.hh"
@@ -29,41 +27,6 @@ constexpr std::uint64_t kMaxJobTimeoutSec =
         std::chrono::steady_clock::duration::max())
         .count() /
     2;
-
-/** %.17g: shortest text strtod restores bit-exactly (rates are finite). */
-std::string
-doubleText(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::uint64_t
-memberU64(const JsonValue &object, const char *name)
-{
-    const std::string &text = jsonMember(object, name).number;
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno == ERANGE)
-        throw CampaignError(std::string("manifest: bad integer for ") +
-                            name + ": '" + text + "'");
-    return value;
-}
-
-double
-memberDouble(const JsonValue &object, const char *name)
-{
-    const std::string &text = jsonMember(object, name).number;
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0')
-        throw CampaignError(std::string("manifest: bad number for ") +
-                            name + ": '" + text + "'");
-    return value;
-}
 
 } // namespace
 
@@ -135,6 +98,14 @@ manifestSpec(const CampaignManifest &manifest)
                             "s exceeds the " +
                             std::to_string(kMaxJobTimeoutSec) +
                             "s a steady_clock deadline can hold");
+    // retries + 1 attempts must not wrap to zero.
+    if (manifest.retries == std::numeric_limits<unsigned>::max())
+        throw CampaignError("retries must be at most " +
+                            std::to_string(manifest.retries - 1) +
+                            ", got " + std::to_string(manifest.retries));
+    if (!(manifest.injectFailRate >= 0.0 && manifest.injectFailRate <= 1.0))
+        throw CampaignError("inject-fail rate must be in [0, 1], got " +
+                            jsonDouble(manifest.injectFailRate));
     if (manifest.fuzzCount != 0) {
         // Fuzzing campaign: the oracle's run budget is centralized in
         // fuzz::oracleBaseConfig(), so every fuzz job of a given
@@ -246,7 +217,7 @@ writeManifest(const std::string &path, const CampaignManifest &manifest)
         << ",\"retries\":" << manifest.retries
         << ",\"retryBaseMs\":" << manifest.retryBaseMs
         << ",\"jobTimeoutSec\":" << manifest.jobTimeoutSec
-        << ",\"injectFailRate\":" << doubleText(manifest.injectFailRate)
+        << ",\"injectFailRate\":" << jsonDouble(manifest.injectFailRate)
         << ",\"injectFailSeed\":" << manifest.injectFailSeed
         << "}\n";
     for (const std::string &key : manifest.jobKeys)
@@ -276,28 +247,29 @@ loadManifest(const std::string &path)
     std::uint64_t expectedJobs = 0;
     try {
         const JsonValue header = JsonParser(lines[0]).parse();
-        if (memberU64(header, "dgsim_campaign") != 1)
+        if (jsonU64(header, "dgsim_campaign") != 1)
             throw CampaignError("manifest '" + path +
                                 "': unsupported version");
         manifest.name = jsonMember(header, "name").str;
-        manifest.shards = static_cast<unsigned>(memberU64(header, "shards"));
-        expectedJobs = memberU64(header, "jobs");
+        manifest.shards = static_cast<unsigned>(
+            jsonU64(header, "shards", std::numeric_limits<unsigned>::max()));
+        expectedJobs = jsonU64(header, "jobs");
         manifest.suite = jsonMember(header, "suite").str;
         manifest.tier = jsonMember(header, "tier").str;
         manifest.schemes = jsonMember(header, "schemes").str;
         manifest.ap = jsonMember(header, "ap").str;
-        manifest.instructions = memberU64(header, "instructions");
-        manifest.ffwdInstructions = memberU64(header, "ffwd");
-        manifest.sampleInterval = memberU64(header, "sampleInterval");
-        manifest.sampleDetail = memberU64(header, "sampleDetail");
-        manifest.fuzzCount = memberU64(header, "fuzzCount");
-        manifest.fuzzSeed = memberU64(header, "fuzzSeed");
-        manifest.retries =
-            static_cast<unsigned>(memberU64(header, "retries"));
-        manifest.retryBaseMs = memberU64(header, "retryBaseMs");
-        manifest.jobTimeoutSec = memberU64(header, "jobTimeoutSec");
-        manifest.injectFailRate = memberDouble(header, "injectFailRate");
-        manifest.injectFailSeed = memberU64(header, "injectFailSeed");
+        manifest.instructions = jsonU64(header, "instructions");
+        manifest.ffwdInstructions = jsonU64(header, "ffwd");
+        manifest.sampleInterval = jsonU64(header, "sampleInterval");
+        manifest.sampleDetail = jsonU64(header, "sampleDetail");
+        manifest.fuzzCount = jsonU64(header, "fuzzCount");
+        manifest.fuzzSeed = jsonU64(header, "fuzzSeed");
+        manifest.retries = static_cast<unsigned>(jsonU64(
+            header, "retries", std::numeric_limits<unsigned>::max()));
+        manifest.retryBaseMs = jsonU64(header, "retryBaseMs");
+        manifest.jobTimeoutSec = jsonU64(header, "jobTimeoutSec");
+        manifest.injectFailRate = jsonF64(header, "injectFailRate");
+        manifest.injectFailSeed = jsonU64(header, "injectFailSeed");
     } catch (const JsonParseError &e) {
         throw CampaignError("manifest '" + path + "' header: " + e.what());
     }
@@ -309,7 +281,7 @@ loadManifest(const std::string &path)
         try {
             const JsonValue record = JsonParser(lines[i]).parse();
             const std::string key = jsonMember(record, "job").str;
-            const std::uint64_t shard = memberU64(record, "shard");
+            const std::uint64_t shard = jsonU64(record, "shard");
             if (shard != shardOf(key, manifest.shards))
                 throw CampaignError(
                     "manifest '" + path + "' line " + std::to_string(i + 1) +

@@ -121,8 +121,10 @@ std::string joinList(const std::vector<std::string> &items);
  * on paperRunConfig() plus the fast-forward/sampling shape, with the
  * warm-up suppressed under functional warming. A fuzzing manifest
  * yields its candidates over fuzz::oracleBaseConfig(). Throws
- * CampaignError, also for a job timeout too long for a steady_clock
- * deadline.
+ * CampaignError, also for a value out of its flag's bounds, so flags
+ * and hand-edited manifests share them: a job timeout too long for a
+ * steady_clock deadline, retries whose first attempt would wrap
+ * maxAttempts to zero, and an inject-fail rate outside [0, 1].
  */
 SweepSpec manifestSpec(const CampaignManifest &manifest);
 

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -62,9 +63,9 @@ loadClaims(const std::string &path)
             Claim claim;
             claim.key = jsonMember(record, "key").str;
             claim.shard = static_cast<unsigned>(
-                std::stoul(jsonMember(record, "shard").number));
-            claim.worker = static_cast<unsigned>(
-                std::stoul(jsonMember(record, "worker").number));
+                jsonU64(record, "shard", std::numeric_limits<unsigned>::max()));
+            claim.worker = static_cast<unsigned>(jsonU64(
+                record, "worker", std::numeric_limits<unsigned>::max()));
             claims.push_back(std::move(claim));
         } catch (const JsonParseError &) {
             continue;

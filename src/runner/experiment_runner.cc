@@ -28,7 +28,14 @@ defaultExecute(const Job &job)
 {
     if (job.kind == JobKind::FuzzCandidate)
         return fuzz::runCandidateJob(job);
-    return runProgram(*job.program, job.config);
+    SimResult result = runProgram(*job.program, job.config);
+    // Once: a sweep whose config always hits the limit would print one
+    // per job, and each job's results say so regardless.
+    if (result.hitMaxCycles)
+        DGSIM_WARN_ONCE(job.workload + ": cycle limit reached at " +
+                        std::to_string(job.config.maxCycles) +
+                        " cycles (warned once per process)");
+    return result;
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/hash.hh"
@@ -100,7 +101,8 @@ loadJournal(const std::string &path)
             const std::string key = jsonMember(record, "key").str;
             JobOutcome outcome = outcomeFromJson(record);
             outcome.attempts = static_cast<unsigned>(
-                std::stoul(jsonMember(record, "attempts").number));
+                jsonU64(record, "attempts",
+                        std::numeric_limits<unsigned>::max()));
             map[key] = std::move(outcome); // Last record wins.
         } catch (const JsonParseError &e) {
             DGSIM_FATAL("journal '" + path + "' line " +

@@ -1,8 +1,11 @@
 #include "runner/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/number.hh"
 
 namespace dgsim::runner
 {
@@ -227,6 +230,52 @@ jsonMember(const JsonValue &object, const char *name)
         throw JsonParseError(std::string("record missing field '") + name +
                              "'");
     return it->second;
+}
+
+namespace
+{
+
+/** The text of a numeric member: a JSON number, or a quoted token. */
+const std::string &
+numberText(const JsonValue &value)
+{
+    return value.kind == JsonValue::Kind::String ? value.str : value.number;
+}
+
+} // namespace
+
+std::uint64_t
+jsonU64(const JsonValue &object, const char *name, std::uint64_t max)
+{
+    const JsonValue &value = jsonMember(object, name);
+    const auto parsed = parseU64(value.number, max);
+    if (value.kind != JsonValue::Kind::Number || !parsed)
+        throw JsonParseError(std::string("bad integer for ") + name + ": '" +
+                             numberText(value) + "'");
+    return *parsed;
+}
+
+double
+jsonF64(const JsonValue &object, const char *name)
+{
+    const JsonValue &value = jsonMember(object, name);
+    const auto parsed = parseF64(numberText(value));
+    if (!parsed)
+        throw JsonParseError(std::string("bad number for ") + name + ": '" +
+                             numberText(value) + "'");
+    return *parsed;
+}
+
+std::string
+jsonDouble(double value)
+{
+    if (std::isnan(value))
+        return "\"NaN\"";
+    if (std::isinf(value))
+        return std::signbit(value) ? "\"-Infinity\"" : "\"Infinity\"";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
 }
 
 } // namespace dgsim::runner

@@ -1,10 +1,5 @@
 #include "runner/result_sink.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/log.hh"
@@ -51,78 +46,6 @@ const Field kFields[] = {
     {"cacheDigest", &SimResult::cacheDigest, nullptr},
     {"uarchDigest", &SimResult::uarchDigest, nullptr},
 };
-
-/**
- * A double as a JSON value: the shortest text strtod restores
- * bit-exactly when finite. Non-finite values (a zero-denominator job's
- * ipc or dgAccuracy) become quoted canonical tokens instead of the bare
- * `nan`/`inf` %g would print — JSON has no NaN/Infinity literals, and a
- * bare token would make the whole line unparseable.
- */
-std::string
-jsonDouble(double value)
-{
-    if (std::isnan(value))
-        return "\"NaN\"";
-    if (std::isinf(value))
-        return std::signbit(value) ? "\"-Infinity\"" : "\"Infinity\"";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::uint64_t
-stringToU64(const std::string &text, const char *what)
-{
-    // strtoull silently accepts leading whitespace and a sign — and
-    // wraps "-1" to 2^64-1 — so a corrupted row would round-trip as
-    // garbage. toJsonLine only ever writes bare digits; demand them.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        DGSIM_FATAL(std::string("bad integer for ") + what + ": '" + text +
-                    "'");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        DGSIM_FATAL(std::string("bad integer for ") + what + ": '" + text +
-                    "'");
-    return value;
-}
-
-double
-stringToDouble(const std::string &text, const char *what)
-{
-    // Like the integer path, reject the whitespace/'+' prefixes strtod
-    // would silently eat ('-' stays legal: -Infinity needs it).
-    if (text.empty() ||
-        std::isspace(static_cast<unsigned char>(text[0])) || text[0] == '+')
-        DGSIM_FATAL(std::string("bad number for ") + what + ": '" + text +
-                    "'");
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    // ERANGE covers two very different cases: overflow (+-HUGE_VAL, a
-    // value we never wrote) and *underflow*, which toJsonLine itself can
-    // legitimately produce — %.17g of a subnormal parses back with
-    // errno == ERANGE but a perfectly valid result. Only overflow is an
-    // error.
-    const bool overflow =
-        errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL);
-    if (*end != '\0' || overflow)
-        DGSIM_FATAL(std::string("bad number for ") + what + ": '" + text +
-                    "'");
-    return value;
-}
-
-/**
- * The raw text of a numeric member. Finite doubles arrive as JSON
- * numbers; NaN/Infinity arrive as the quoted tokens jsonDouble emits.
- */
-const std::string &
-numberText(const JsonValue &value)
-{
-    return value.kind == JsonValue::Kind::String ? value.str : value.number;
-}
 
 } // namespace
 
@@ -175,45 +98,36 @@ JobOutcome
 outcomeFromJson(const JsonValue &record)
 {
     JobOutcome outcome;
-    outcome.index = stringToU64(jsonMember(record, "index").number, "index");
+    outcome.index = jsonU64(record, "index");
     outcome.workload = jsonMember(record, "workload").str;
     outcome.suite = jsonMember(record, "suite").str;
     outcome.configLabel = jsonMember(record, "config").str;
     outcome.ok = jsonMember(record, "ok").boolean;
     outcome.error = jsonMember(record, "error").str;
     for (const Field &field : kFields) {
-        const std::string &raw = numberText(jsonMember(record, field.name));
         if (field.u64)
-            outcome.result.*field.u64 = stringToU64(raw, field.name);
+            outcome.result.*field.u64 = jsonU64(record, field.name);
         else
-            outcome.result.*field.dbl = stringToDouble(raw, field.name);
+            outcome.result.*field.dbl = jsonF64(record, field.name);
     }
-    for (const auto &kv : jsonMember(record, "counters").object)
+    const JsonValue &counters = jsonMember(record, "counters");
+    for (const auto &kv : counters.object)
         outcome.result.counters[kv.first] =
-            stringToU64(kv.second.number, kv.first.c_str());
+            jsonU64(counters, kv.first.c_str());
     // Optional host-metrics object (toJsonLine host_metrics mode).
     const auto host = record.object.find("host");
     if (host != record.object.end()) {
-        outcome.result.hostSeconds = stringToDouble(
-            numberText(jsonMember(host->second, "seconds")), "host.seconds");
-        outcome.result.traceRecords =
-            stringToU64(jsonMember(host->second, "traceRecords").number,
-                        "host.traceRecords");
-        outcome.result.watchdogCycles =
-            stringToU64(jsonMember(host->second, "watchdogCycles").number,
-                        "host.watchdogCycles");
+        const JsonValue &metrics = host->second;
+        outcome.result.hostSeconds = jsonF64(metrics, "seconds");
+        outcome.result.traceRecords = jsonU64(metrics, "traceRecords");
+        outcome.result.watchdogCycles = jsonU64(metrics, "watchdogCycles");
         // Skip accounting postdates the host-object format: read it
         // tolerantly so journals written before it still load.
-        const auto skipped = host->second.object.find("idleCyclesSkipped");
-        if (skipped != host->second.object.end()) {
-            outcome.result.idleCyclesSkipped = stringToU64(
-                skipped->second.number, "host.idleCyclesSkipped");
-        }
-        const auto skips = host->second.object.find("skipEvents");
-        if (skips != host->second.object.end()) {
-            outcome.result.skipEvents =
-                stringToU64(skips->second.number, "host.skipEvents");
-        }
+        if (metrics.object.count("idleCyclesSkipped"))
+            outcome.result.idleCyclesSkipped =
+                jsonU64(metrics, "idleCyclesSkipped");
+        if (metrics.object.count("skipEvents"))
+            outcome.result.skipEvents = jsonU64(metrics, "skipEvents");
     }
     outcome.result.workload = outcome.workload;
     outcome.result.configLabel = outcome.configLabel;

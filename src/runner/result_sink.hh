@@ -38,7 +38,7 @@ std::string toJsonLine(const JobOutcome &outcome, bool host_metrics = false);
 /**
  * Rebuild a JobOutcome from a parsed toJsonLine() record. Extra members
  * (the journal's "key"/"attempts" wrapper fields) are ignored; missing
- * ones raise JsonParseError. Malformed numerics are fatal.
+ * ones, and numbers jsonU64()/jsonF64() reject, raise JsonParseError.
  */
 JobOutcome outcomeFromJson(const JsonValue &record);
 

@@ -1,8 +1,6 @@
 #include "telemetry/trace.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -20,23 +18,7 @@ using runner::JsonParser;
 using runner::JsonValue;
 using runner::jsonEscape;
 using runner::jsonMember;
-
-std::uint64_t
-memberU64(const JsonValue &record, const char *name)
-{
-    const JsonValue &value = jsonMember(record, name);
-    if (value.kind != JsonValue::Kind::Number)
-        throw JsonParseError(std::string("event field '") + name +
-                             "' is not a number");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.number.c_str(), &end, 10);
-    if (value.number.empty() || *end != '\0' || errno == ERANGE)
-        throw JsonParseError(std::string("event field '") + name +
-                             "' is not a u64: '" + value.number + "'");
-    return parsed;
-}
+using runner::jsonU64;
 
 TraceEvent
 eventFromJson(const JsonValue &record)
@@ -45,12 +27,12 @@ eventFromJson(const JsonValue &record)
     event.name = jsonMember(record, "name").str;
     event.cat = jsonMember(record, "cat").str;
     event.ph = jsonMember(record, "ph").str;
-    event.ts = memberU64(record, "ts");
-    event.pid = memberU64(record, "pid");
-    event.tid = memberU64(record, "tid");
+    event.ts = jsonU64(record, "ts");
+    event.pid = jsonU64(record, "pid");
+    event.tid = jsonU64(record, "tid");
     // "M" metadata events may omit dur.
     if (record.object.count("dur"))
-        event.dur = memberU64(record, "dur");
+        event.dur = jsonU64(record, "dur");
     const auto args = record.object.find("args");
     if (args != record.object.end()) {
         if (args->second.kind != JsonValue::Kind::Object)

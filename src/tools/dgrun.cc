@@ -7,8 +7,6 @@
  * job-index order whatever the thread count.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,9 +14,11 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/number.hh"
 #include "common/signals.hh"
 #include "fuzz/dgasm.hh"
 #include "fuzz/fuzz.hh"
@@ -194,36 +194,35 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-/** A decimal count: positive, or also zero where @p allowZero. */
+/** A decimal count under parseU64()'s rule, nonzero unless @p allowZero. */
 std::uint64_t
-parseCount(const std::string &text, const char *flag, bool allowZero = false)
+parseCount(const std::string &text, const char *flag, bool allowZero = false,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    // strtoull would take a sign or a space, and wrap "-1" to 2^64 - 1.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE || (value == 0 && !allowZero))
-        usageError(std::string(flag) +
-                   (allowZero ? " needs a non-negative integer, got '"
-                              : " needs a positive integer, got '") +
-                   text + "'");
-    return value;
+    const std::optional<std::uint64_t> value = parseU64(text, max);
+    if (!value || (*value == 0 && !allowZero))
+        usageError(std::string(flag) + " needs an integer in [" +
+                   (allowZero ? "0" : "1") + ", " + std::to_string(max) +
+                   "], got '" + text + "'");
+    return *value;
 }
 
-/**
- * parseCount() for an `unsigned` field: a value above @p max is a usage
- * error instead of silently wrapping.
- */
+/** parseCount() for an `unsigned` field, so a value never wraps. */
 unsigned
-parseUnsigned(const std::string &text, const char *flag, bool allowZero,
-              unsigned max = std::numeric_limits<unsigned>::max())
+parseUnsigned(const std::string &text, const char *flag, bool allowZero)
 {
-    const std::uint64_t value = parseCount(text, flag, allowZero);
-    if (value > max)
-        usageError(std::string(flag) + " must be at most " +
-                   std::to_string(max) + ", got '" + text + "'");
-    return static_cast<unsigned>(value);
+    return static_cast<unsigned>(parseCount(
+        text, flag, allowZero, std::numeric_limits<unsigned>::max()));
+}
+
+/** A real under parseF64()'s rule, above zero where @p positive. */
+double
+parseReal(const std::string &text, const std::string &usage, bool positive)
+{
+    const std::optional<double> value = parseF64(text);
+    if (!value || (positive && !(*value > 0.0)))
+        usageError(usage + ", got '" + text + "'");
+    return *value;
 }
 
 struct Options
@@ -331,10 +330,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--resume") {
             options.resumePath = next(i, "--resume");
         } else if (arg == "--retries") {
-            // retries + 1 attempts must not wrap to zero.
             options.sweep.retries =
-                parseUnsigned(next(i, "--retries"), "--retries", true,
-                              std::numeric_limits<unsigned>::max() - 1);
+                parseUnsigned(next(i, "--retries"), "--retries", true);
         } else if (arg == "--retry-base-ms") {
             options.sweep.retryBaseMs = parseCount(
                 next(i, "--retry-base-ms"), "--retry-base-ms", true);
@@ -346,15 +343,9 @@ parseArgs(int argc, char **argv)
             const std::size_t comma = spec.find(',');
             if (comma == std::string::npos)
                 usageError("--inject-fail needs RATE,SEED (e.g. 0.3,42)");
-            errno = 0;
-            char *end = nullptr;
-            const double rate =
-                std::strtod(spec.substr(0, comma).c_str(), &end);
-            if (*end != '\0' || errno == ERANGE ||
-                !(rate >= 0.0 && rate <= 1.0))
-                usageError("--inject-fail rate must be in [0, 1], got '" +
-                           spec.substr(0, comma) + "'");
-            options.sweep.injectFailRate = rate;
+            options.sweep.injectFailRate =
+                parseReal(spec.substr(0, comma),
+                          "--inject-fail needs a numeric RATE", false);
             options.sweep.injectFailSeed = parseCount(
                 spec.substr(comma + 1), "--inject-fail seed", true);
         } else if (arg == "--no-host-metrics") {
@@ -362,15 +353,10 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--journal-sync") {
             options.journalSync = true;
         } else if (arg == "--progress") {
-            const std::string spec = next(i, "--progress");
-            errno = 0;
-            char *end = nullptr;
             options.telemetry.progressPeriodSec =
-                std::strtod(spec.c_str(), &end);
-            if (spec.empty() || *end != '\0' || errno == ERANGE ||
-                !(options.telemetry.progressPeriodSec > 0.0))
-                usageError("--progress needs a positive number of "
-                           "seconds, got '" + spec + "'");
+                parseReal(next(i, "--progress"),
+                          "--progress needs a positive number of seconds",
+                          true);
         } else if (arg == "--shard") {
             const std::string spec = next(i, "--shard");
             const std::size_t slash = spec.find('/');
@@ -425,16 +411,11 @@ parseArgs(int argc, char **argv)
             const std::string spec = next(i, "--metrics");
             const std::size_t comma = spec.rfind(',');
             options.telemetry.metricsPath = spec.substr(0, comma);
-            if (comma != std::string::npos) {
-                errno = 0;
-                char *end = nullptr;
+            if (comma != std::string::npos)
                 options.telemetry.metricsPeriodSec =
-                    std::strtod(spec.substr(comma + 1).c_str(), &end);
-                if (*end != '\0' || errno == ERANGE ||
-                    !(options.telemetry.metricsPeriodSec > 0.0))
-                    usageError("--metrics needs FILE[,SECS] with positive "
-                               "SECS, got '" + spec + "'");
-            }
+                    parseReal(spec.substr(comma + 1),
+                              "--metrics needs FILE[,SECS] with positive SECS",
+                              true);
             if (options.telemetry.metricsPath.empty())
                 usageError("--metrics needs a file path");
         } else if (arg == "--report") {

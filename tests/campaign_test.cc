@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,28 +30,6 @@ namespace dgsim::runner
 {
 namespace
 {
-
-/**
- * Deterministic mock keyed on job *identity*, never on job.index:
- * shard runs re-index their jobs 0..n-1, so an index-keyed mock would
- * fabricate different results per shard and void the byte comparison.
- */
-SimResult
-identityMockResult(const Job &job)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : job.workload + "/" + job.config.label()) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    SimResult result;
-    result.workload = job.workload;
-    result.configLabel = job.config.label();
-    result.cycles = 1000 + hash % 1000;
-    result.instructions = 500 + hash % 500;
-    result.ipc = 0.5;
-    return result;
-}
 
 std::string
 tempPath(const char *name)
@@ -201,6 +180,33 @@ TEST(Manifest, LoadRejectsCorruptInput)
             << jobLine.substr(0, colon + 1) << (shard + 1) % 3 << "}\n";
     }
     EXPECT_THROW(loadManifest(path), CampaignError);
+
+    // Header values a hand edit can break: a negative count is not a
+    // count (it used to wrap to 2^64 - 1), and retries whose first
+    // attempt would wrap maxAttempts to zero exceed --retries' bound,
+    // which manifestSpec() applies to manifests and flags alike.
+    const auto withHeader = [&](const std::string &from,
+                                const std::string &to) {
+        writeManifest(path, smallManifest(3, 2'000));
+        std::ifstream in(path);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        in.close();
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << "fixture drift: " << from;
+        text.replace(at, from.size(), to);
+        std::ofstream(path, std::ios::trunc) << text;
+    };
+    withHeader("\"retries\":2", "\"retries\":-1");
+    EXPECT_THROW(loadManifest(path), CampaignError);
+    withHeader("\"retryBaseMs\":0", "\"retryBaseMs\":-5");
+    EXPECT_THROW(loadManifest(path), CampaignError);
+    withHeader("\"retries\":2", "\"retries\":4294967296");
+    EXPECT_THROW(loadManifest(path), CampaignError);
+    withHeader("\"retries\":2", "\"retries\":4294967295");
+    EXPECT_THROW(manifestSpec(loadManifest(path)), CampaignError);
+    withHeader("\"injectFailRate\":0", "\"injectFailRate\":-0.5");
+    EXPECT_THROW(manifestSpec(loadManifest(path)), CampaignError);
 }
 
 TEST(Manifest, UnrepresentableJobTimeoutIsRejectedOnExpansion)

@@ -41,24 +41,6 @@ namespace dgsim::runner
 namespace
 {
 
-/** Identity-keyed mock (never index-keyed: shard runs re-index). */
-SimResult
-identityMockResult(const Job &job)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : job.workload + "/" + job.config.label()) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    SimResult result;
-    result.workload = job.workload;
-    result.configLabel = job.config.label();
-    result.cycles = 1000 + hash % 1000;
-    result.instructions = 500 + hash % 500;
-    result.ipc = 0.5;
-    return result;
-}
-
 /**
  * The same mock slowed down enough that every worker of a multi-worker
  * campaign gets to claim at least one job before the pool drains —

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -23,6 +27,7 @@
 #include "fuzz/oracle.hh"
 #include "fuzz/synth.hh"
 #include "runner/journal.hh"
+#include "runner/json.hh"
 #include "runner/sweep.hh"
 #include "security/leak.hh"
 #include "sim/simulator.hh"
@@ -227,6 +232,37 @@ TEST(FuzzMinimizeTest, LeakPreservingSizeMonotoneFixedPoint)
     }
 }
 
+TEST(FuzzMinimizeTest, CappedProbeRunsAreNotACycleLimitWarning)
+{
+    // minimizeLeak caps its probe runs on purpose: a deletion that
+    // turns the gadget into a spin is the algorithm working, not a
+    // health event. The "threadsafe" style re-executes the binary, so
+    // no earlier test has spent the warn-once latch in the child (a
+    // forked child inherits it); it exits 0 only if nothing said
+    // "cycle limit".
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            std::FILE *capture = std::tmpfile();
+            const int saved = ::dup(STDERR_FILENO);
+            ::dup2(::fileno(capture), STDERR_FILENO);
+            fuzz::minimizeLeak(
+                fuzz::loadDgasm(DGSIM_CORPUS_DIR "/spectre_v1.dgasm"),
+                unsafeColumn(), {3, 5});
+            std::fflush(stderr);
+            ::dup2(saved, STDERR_FILENO);
+            std::rewind(capture);
+            std::stringstream err;
+            for (int c; (c = std::fgetc(capture)) != EOF;)
+                err.put(static_cast<char>(c));
+            std::fputs(err.str().c_str(), stderr);
+            std::exit(err.str().find("cycle limit") == std::string::npos
+                          ? 0
+                          : 1);
+        },
+        testing::ExitedWithCode(0), "");
+}
+
 TEST(FuzzMinimizeTest, NonLeakingInputReturnsUnchangedAfterOneTest)
 {
     // Candidate 0 does not leak under STT: the minimizer must detect
@@ -326,7 +362,9 @@ TEST(FuzzRunnerTest, PostPassEmitsReplayableArtifacts)
     std::filesystem::remove_all(dir);
     fuzz::PostOptions popts;
     popts.fuzzSeed = 1;
-    popts.reproDir = (dir / "repros").string();
+    // JSON's two string metacharacters in the repro path: the findings
+    // lines must escape them.
+    popts.reproDir = (dir / "rep\"x\\y").string();
     popts.findingsPath = (dir / "findings.jsonl").string();
     popts.quiet = true;
     std::ostringstream log;
@@ -338,6 +376,20 @@ TEST(FuzzRunnerTest, PostPassEmitsReplayableArtifacts)
     EXPECT_EQ(summary.findings, 0u)
         << "a secure scheme leaked on the seed-1 prefix";
     ASSERT_TRUE(std::filesystem::exists(popts.findingsPath));
+
+    // Every findings line is JSON that names the files it wrote.
+    std::ifstream findings(popts.findingsPath);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(findings, line); ++lines) {
+        const runner::JsonValue record = runner::JsonParser(line).parse();
+        EXPECT_TRUE(std::filesystem::exists(
+            runner::jsonMember(record, "repro").str));
+        if (runner::jsonMember(record, "minimized").boolean) {
+            EXPECT_TRUE(std::filesystem::exists(
+                runner::jsonMember(record, "minRepro").str));
+        }
+    }
+    EXPECT_GE(lines, 1u);
 
     // Every hit must be reproducible from its .dgasm alone.
     const std::string repro = popts.reproDir + "/" +

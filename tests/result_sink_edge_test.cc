@@ -10,17 +10,23 @@
  *    and must read back exactly;
  *  - strtod sets ERANGE for *underflow* too, with a perfectly valid
  *    subnormal result — only overflow may be rejected.
+ *
+ * The integer cases also feed the completion journal and telemetry
+ * trace readers, which share the one number rule (common/number.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 
+#include "runner/journal.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
+#include "telemetry/trace.hh"
 
 namespace dgsim::runner
 {
@@ -72,6 +78,47 @@ readJsonlText(const std::string &text)
     readJsonl(ss);
 }
 
+/** @p text written to a fresh file under the test temp dir. */
+std::string
+tempFile(const char *name, const std::string &text)
+{
+    const std::string path = testing::TempDir() + name;
+    std::ofstream(path, std::ios::trunc) << text;
+    return path;
+}
+
+/** A journal holding one record whose attempts member is @p attempts. */
+std::string
+journalWithAttempts(const std::string &attempts)
+{
+    return tempFile("edge.journal",
+                    "{\"key\":\"k\",\"attempts\":" + attempts + "," +
+                        toJsonLine(baseOutcome()).substr(1) + "\n");
+}
+
+/** One telemetry event line whose timestamp is @p ts. */
+std::string
+eventWithTs(const std::string &ts)
+{
+    return "{\"name\":\"job\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":" + ts +
+           ",\"dur\":5,\"pid\":1,\"tid\":1}";
+}
+
+/** The error loadMergedTrace() throws for a trace of that one event. */
+std::string
+mergedTraceError(const std::string &ts)
+{
+    const std::string path = tempFile(
+        "edge.trace.json",
+        "{\"dgsim_telemetry\":1,\"traceEvents\":[" + eventWithTs(ts) + "]}\n");
+    try {
+        telemetry::loadMergedTrace(path);
+    } catch (const JsonParseError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 using IntegerParsing = ::testing::Test;
 
 TEST(IntegerParsing, NegativeValueIsFatalNotWrapped)
@@ -81,6 +128,16 @@ TEST(IntegerParsing, NegativeValueIsFatalNotWrapped)
     EXPECT_EXIT(readJsonlText(corruptedLine("\"cycles\":1000",
                                             "\"cycles\":\"-1\"")),
                 testing::ExitedWithCode(1), "bad integer for cycles");
+    // The journal's wrapper field and a trace timestamp: a wrapped -1
+    // would record 4294967295 attempts or reorder the trace.
+    EXPECT_EXIT(loadJournal(journalWithAttempts("-1")),
+                testing::ExitedWithCode(1),
+                "is corrupt: bad integer for attempts");
+    EXPECT_EXIT(telemetry::loadTraceEvents(
+                    tempFile("edge.events", eventWithTs("-1") + "\n")),
+                testing::ExitedWithCode(1), "bad integer for ts");
+    EXPECT_NE(mergedTraceError("-1").find("bad integer for ts: '-1'"),
+              std::string::npos);
 }
 
 TEST(IntegerParsing, ExplicitPlusSignIsFatal)
@@ -88,6 +145,11 @@ TEST(IntegerParsing, ExplicitPlusSignIsFatal)
     EXPECT_EXIT(readJsonlText(corruptedLine("\"cycles\":1000",
                                             "\"cycles\":\"+1\"")),
                 testing::ExitedWithCode(1), "bad integer for cycles");
+    EXPECT_EXIT(loadJournal(journalWithAttempts("+1")),
+                testing::ExitedWithCode(1),
+                "is corrupt: bad integer for attempts");
+    EXPECT_NE(mergedTraceError("+1").find("bad integer for ts"),
+              std::string::npos);
 }
 
 TEST(IntegerParsing, LeadingWhitespaceIsFatal)
@@ -104,6 +166,17 @@ TEST(IntegerParsing, OverflowIsFatal)
     EXPECT_EXIT(readJsonlText(corruptedLine(
                     "\"cycles\":1000", "\"cycles\":99999999999999999999999")),
                 testing::ExitedWithCode(1), "bad integer for cycles");
+    // Past 2^64 (std::stoul used to throw out_of_range through the
+    // journal reader) and past the unsigned field it lands in.
+    EXPECT_EXIT(loadJournal(journalWithAttempts("99999999999999999999")),
+                testing::ExitedWithCode(1),
+                "is corrupt: bad integer for attempts");
+    EXPECT_EXIT(loadJournal(journalWithAttempts("4294967296")),
+                testing::ExitedWithCode(1),
+                "is corrupt: bad integer for attempts");
+    EXPECT_NE(mergedTraceError("99999999999999999999999")
+                  .find("bad integer for ts"),
+              std::string::npos);
 }
 
 TEST(NonFiniteDoubles, JsonlLinesStayValidJson)

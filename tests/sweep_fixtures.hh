@@ -1,5 +1,5 @@
-/** @file Sweep and heartbeat helpers shared by the runner and
- * campaign tests. */
+/** @file Sweep, mock-result and heartbeat helpers shared by the
+ * runner, campaign, coordinator and telemetry tests. */
 
 #ifndef DGSIM_TESTS_SWEEP_FIXTURES_HH
 #define DGSIM_TESTS_SWEEP_FIXTURES_HH
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "runner/paper_matrix.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
@@ -26,6 +27,26 @@ smallSpec(std::uint64_t instructions)
     return {{workloads::findWorkload("gobmk"),
              workloads::findWorkload("h264ref")},
             evaluationConfigs(paperRunConfig(instructions))};
+}
+
+/**
+ * A deterministic mock result keyed on job *identity*, never on
+ * job.index: shard runs re-index their jobs 0..n-1, so an index-keyed
+ * mock would fabricate different results per shard and void the byte
+ * comparison.
+ */
+inline SimResult
+identityMockResult(const Job &job)
+{
+    const std::string identity = job.workload + "/" + job.config.label();
+    const std::uint64_t hash = fnv1a(identity.data(), identity.size());
+    SimResult result;
+    result.workload = job.workload;
+    result.configLabel = job.config.label();
+    result.cycles = 1000 + hash % 1000;
+    result.instructions = 500 + hash % 500;
+    result.ipc = 0.5;
+    return result;
 }
 
 /** @p outcomes as dgrun --jsonl writes them (no host metrics). */

@@ -53,6 +53,7 @@ using runner::JsonParser;
 using runner::JsonValue;
 using runner::RunnerOptions;
 using runner::claimsPath;
+using runner::identityMockResult;
 using runner::jobKey;
 using runner::jsonlOf;
 using runner::jsonMember;
@@ -86,24 +87,6 @@ sortedLines(const std::string &path)
         lines.push_back(line);
     std::sort(lines.begin(), lines.end());
     return lines;
-}
-
-/** Identity-keyed mock (the coordinator_test idiom). */
-SimResult
-identityMockResult(const Job &job)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : job.workload + "/" + job.config.label()) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    SimResult result;
-    result.workload = job.workload;
-    result.configLabel = job.config.label();
-    result.cycles = 1000 + hash % 1000;
-    result.instructions = 500 + hash % 500;
-    result.ipc = 0.5;
-    return result;
 }
 
 /** Slowed so workers live long enough to show up as trace tracks. */
