@@ -515,6 +515,8 @@ OooCore::loadValueNow(const DynInst &inst, Addr addr) const
             return std::nullopt; // Data not produced yet; retry.
         return std::make_pair(regfile_.value(store->prs2), store->seq);
     }
+    if (read_watch_ != nullptr) [[unlikely]]
+        noteWatchedRead(addr);
     return std::make_pair(data_mem_.read(addr), kInvalidSeq);
 }
 
@@ -1737,6 +1739,19 @@ OooCore::externalInvalidate(Addr byte_addr)
         // Unpropagated conventional loads re-read the value at
         // propagation time, so no action is needed.
     }
+}
+
+// ---------------------------------------------------------------------
+// Read watch (security/leak.hh's early exit).
+// ---------------------------------------------------------------------
+
+void
+OooCore::noteWatchedRead(Addr addr) const
+{
+    const Addr word = addr - addr % kWordBytes;
+    if (std::binary_search(read_watch_->words.begin(),
+                           read_watch_->words.end(), word))
+        read_watch_->read = true;
 }
 
 } // namespace dgsim

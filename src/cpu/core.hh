@@ -54,6 +54,20 @@ namespace ckpt
 struct Checkpoint;
 } // namespace ckpt
 
+/**
+ * Data words whose value reads a run reports (the leak oracle's early
+ * exit, security/leak.hh). Every value a load of the timing core
+ * observes from data memory comes from OooCore::loadValueNow: demand,
+ * doppelganger and wrong-path loads alike. It sets @c read when it
+ * reads a word in @c words. Store-to-load forwards and the lockstep
+ * FunctionalCore's reads do not count.
+ */
+struct ReadWatch
+{
+    std::vector<Addr> words; ///< Sorted, word-aligned byte addresses.
+    bool read = false;       ///< Was any of them read?
+};
+
 /** Why a squash happened (statistics). */
 enum class SquashReason
 {
@@ -99,6 +113,10 @@ class OooCore
      * cannot be replaced under in-flight instructions.
      */
     void restoreFromCheckpoint(const ckpt::Checkpoint &checkpoint);
+
+    /** Report value reads of @p watch's words into it for the rest of
+     * the run (see ReadWatch). @p watch must outlive the run. */
+    void watchReads(ReadWatch *watch) { read_watch_ = watch; }
 
     // --- Introspection ---------------------------------------------------
     Cycle cycle() const { return cycle_; }
@@ -207,6 +225,9 @@ class OooCore
      * (the caller retries next cycle). */
     std::optional<std::pair<RegValue, SeqNum>>
     loadValueNow(const DynInst &inst, Addr addr) const;
+
+    /** Set read_watch_->read if @p addr's word is watched. */
+    void noteWatchedRead(Addr addr) const;
 
     /** Broadcast a load result: preg value/ready (+ STT taint). */
     void propagateLoad(const DynInstPtr &inst, RegValue value);
@@ -445,9 +466,14 @@ class OooCore
     Histogram &lqOccupancyDist_;
 
     /// Routes DGSIM_PANIC/DGSIM_ASSERT on this thread through
-    /// dumpPipelineState. Declared last: it is constructed after (and
-    /// destroyed before) every member the dump reads.
+    /// dumpPipelineState. Declared after every member the dump reads,
+    /// so it is constructed after (and destroyed before) all of them.
     PanicHookGuard panic_hook_;
+
+    /// Words whose value reads are reported (watchReads); null when
+    /// nothing is watched. Declared last, behind every member the
+    /// cycle loop touches.
+    ReadWatch *read_watch_ = nullptr;
 };
 
 } // namespace dgsim

@@ -59,6 +59,8 @@ struct Instruction
     RegIndex rs1 = 0;  ///< First source.
     RegIndex rs2 = 0;  ///< Second source (store data for St).
     std::int64_t imm = 0; ///< Immediate / branch target / displacement.
+
+    bool operator==(const Instruction &) const = default;
 };
 
 // The decode predicates below run on the cycle loop's hottest paths

@@ -150,6 +150,10 @@ JsonParser::parseString()
           case 'u': {
             if (pos_ + 4 > text_.size())
                 fail("truncated \\u escape");
+            for (std::size_t i = pos_; i < pos_ + 4; ++i) {
+                if (!std::isxdigit(static_cast<unsigned char>(text_[i])))
+                    fail("bad \\u escape: four hex digits expected");
+            }
             const unsigned long code =
                 std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
             pos_ += 4;

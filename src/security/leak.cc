@@ -1,11 +1,15 @@
 #include "security/leak.hh"
 
 #include <algorithm>
-#include <map>
+#include <optional>
+#include <stdexcept>
+#include <utility>
 
+#include "ckpt/sampler.hh"
 #include "common/errors.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "cpu/core.hh"
 
 namespace dgsim::security
 {
@@ -54,14 +58,15 @@ struct OracleRun
     std::string wedgeReason;
 };
 
+/** Run @p program, reporting reads of @p watch's words if non-null. */
 OracleRun
-runSecret(const std::function<Program(std::uint64_t)> &builder,
-          const SimConfig &config, std::uint64_t secret)
+runSecret(const Program &program, const SimConfig &config,
+          ReadWatch *watch)
 {
     OracleRun run;
-    const Program program = builder(secret);
     try {
-        run.result = runProgram(program, config);
+        run.result = watch ? runProgram(program, config, *watch)
+                           : runProgram(program, config);
     } catch (const WatchdogError &error) {
         run.wedged = true;
         run.wedgeReason = error.what();
@@ -103,11 +108,36 @@ healthProblem(const OracleRun &a, const OracleRun &b)
 
 } // namespace
 
+std::optional<std::vector<std::pair<Addr, RegValue>>>
+dataDifference(const Program &first, const Program &other)
+{
+    if (other.name != first.name || other.entry != first.entry ||
+        other.text != first.text)
+        return std::nullopt;
+    const auto first_words = first.initialData.words();
+    const auto words = other.initialData.words();
+    if (words.size() != first_words.size())
+        return std::nullopt;
+    std::vector<std::pair<Addr, RegValue>> differing;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        if (words[w].first != first_words[w].first)
+            return std::nullopt;
+        if (words[w].second != first_words[w].second)
+            differing.push_back(words[w]);
+    }
+    return differing;
+}
+
 LeakCheck
 checkLeakPairs(const std::function<Program(std::uint64_t)> &builder,
                const SimConfig &config,
                const std::vector<SecretPair> &pairs, bool quiet)
 {
+    if (pairs.empty())
+        throw std::invalid_argument(
+            "checkLeakPairs: empty secret-pair list (a check that "
+            "examined no pair cannot read as no-leak)");
+
     SimConfig run_config = config;
     if (run_config.maxCycles == 0)
         run_config.maxCycles = 50'000'000;
@@ -115,16 +145,68 @@ checkLeakPairs(const std::function<Program(std::uint64_t)> &builder,
     // a process-fatal bug.
     run_config.watchdogThrows = true;
 
-    // Each distinct secret is simulated once; pairs share runs.
-    std::map<std::uint64_t, OracleRun> runs;
-    const auto runOf = [&](std::uint64_t secret) -> const OracleRun & {
-        auto it = runs.find(secret);
-        if (it == runs.end()) {
-            it = runs.emplace(secret,
-                              runSecret(builder, run_config, secret))
-                     .first;
+    // Every distinct secret, in first-use order.
+    std::vector<std::uint64_t> secrets;
+    for (const SecretPair &pair : pairs) {
+        for (std::uint64_t secret : {pair.a, pair.b}) {
+            if (std::find(secrets.begin(), secrets.end(), secret) ==
+                secrets.end())
+                secrets.push_back(secret);
         }
-        return it->second;
+    }
+
+    // Lower each once. The first program is kept whole. Another one that
+    // differs from it only in data values is kept as just those words,
+    // patched into a copy of the first when it runs, so a column never
+    // holds a data image per secret.
+    const Program first = builder(secrets[0]);
+    std::vector<std::optional<Program>> others(secrets.size());
+    std::vector<std::vector<std::pair<Addr, RegValue>>> patches(
+        secrets.size());
+    std::vector<Addr> watched;
+    bool data_only = true;
+    for (std::size_t i = 1; i < secrets.size(); ++i) {
+        Program program = builder(secrets[i]);
+        if (auto diff = dataDifference(first, program)) {
+            for (const auto &word : *diff)
+                watched.push_back(word.first);
+            patches[i] = std::move(*diff);
+        } else {
+            others[i] = std::move(program);
+            data_only = false;
+        }
+    }
+    const auto lowered = [&](std::size_t i) {
+        Program program = others[i] ? *others[i] : first;
+        for (const auto &[addr, value] : patches[i])
+            program.initialData.write(addr, value);
+        return program;
+    };
+
+    // Each distinct secret is simulated at most once; pairs share runs.
+    // The early exit: run the first secret watching the words where the
+    // programs differ. A run that never read one is the run of every
+    // secret, so it stands for all of them.
+    std::vector<std::optional<OracleRun>> runs(secrets.size());
+    bool shared = false;
+    if (secrets.size() > 1 && data_only &&
+        !ckpt::wantsSampledRun(run_config)) {
+        ReadWatch watch;
+        std::sort(watched.begin(), watched.end());
+        watched.erase(std::unique(watched.begin(), watched.end()),
+                      watched.end());
+        watch.words = std::move(watched);
+        runs[0] = runSecret(first, run_config, &watch);
+        shared = !watch.read;
+    }
+    const auto runOf = [&](std::uint64_t secret) -> const OracleRun & {
+        std::size_t i = 0;
+        if (!shared)
+            i = std::find(secrets.begin(), secrets.end(), secret) -
+                secrets.begin();
+        if (!runs[i])
+            runs[i] = runSecret(lowered(i), run_config, nullptr);
+        return *runs[i];
     };
 
     LeakCheck check;

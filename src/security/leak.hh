@@ -24,6 +24,30 @@
  *     all-bits-flipped, adjacent, random) rather than one hardcoded
  *     low-bits pair, so single-bit-channel gadgets aren't missed by
  *     construction.
+ *
+ * Early exit. checkLeakPairs lowers every distinct secret's program
+ * first. When those programs differ only in the values of some data
+ * words (dataDifference), it runs the first secret with a ReadWatch on
+ * those words (cpu/core.hh). If the timing core never read one, that
+ * run stands for every secret and no other secret is simulated.
+ *
+ * Why this is exact: a run is a deterministic function of (program,
+ * config), and the programs agree on everything but those words'
+ * initial values. Data memory reaches the simulated machine only as
+ * the values loads observe, and every such value comes from
+ * OooCore::loadValueNow: demand, doppelganger and wrong-path loads
+ * alike. Caches, predictors and the prefetcher see addresses, never
+ * values. A run that never read a watched word therefore takes the
+ * same steps under every secret, and ends with the same cycles,
+ * counters, digests, health and wedge message. The verdict, digests,
+ * reason and cycles it yields are the ones the full path yields.
+ *
+ * The full path (every distinct secret simulated) is taken when the
+ * programs differ anywhere else (name, entry, any instruction field,
+ * the set of initialised data addresses), when the first run reads a
+ * watched word, even on the wrong path, and when the config wants
+ * the sampled driver (ckpt::wantsSampledRun), whose functional
+ * fast-forward reads memory outside the watch.
  */
 
 #ifndef DGSIM_SECURITY_LEAK_HH
@@ -31,7 +55,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -106,11 +132,22 @@ LeakCheck checkLeak(const std::function<Program(std::uint64_t)> &builder,
                     std::uint64_t secret_b = 5);
 
 /**
- * Run the oracle over a whole secret-pair list (each distinct secret is
- * simulated once, memoized). The first leaking pair wins — pair order
- * is deterministic, so so is the reported pair. With no leaking pair,
- * any inconclusive pair makes the whole check Inconclusive; otherwise
- * NoLeak.
+ * The data words at which @p other's initial values differ from
+ * @p first's, as (address, @p other's value) sorted by address. nullopt
+ * when the programs differ in anything else: name, entry, any
+ * instruction field or the set of initialised data addresses.
+ */
+std::optional<std::vector<std::pair<Addr, RegValue>>>
+dataDifference(const Program &first, const Program &other);
+
+/**
+ * Run the oracle over a whole secret-pair list. Each distinct secret is
+ * lowered once and simulated at most once, and not at all when the
+ * early exit (file comment) lets the first secret's run stand for it.
+ * The first leaking pair wins — pair order is deterministic, so so is
+ * the reported pair. With no leaking pair, any inconclusive pair makes
+ * the whole check Inconclusive; otherwise NoLeak. An empty @p pairs
+ * throws std::invalid_argument: a check of no pair proves nothing.
  *
  * @p quiet suppresses the per-pair inconclusive warning — for callers
  * like the minimizer whose probe deletions *expectedly* break gadgets

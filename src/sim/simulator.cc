@@ -5,6 +5,7 @@
 
 #include "ckpt/sampler.hh"
 #include "common/hash.hh"
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "cpu/core.hh"
 #include "telemetry/telemetry.hh"
@@ -12,23 +13,17 @@
 namespace dgsim
 {
 
-SimResult
-runProgram(const Program &program, const SimConfig &config)
+namespace
 {
-    return runProgram(program, config, nullptr);
-}
 
+/** The plain detailed run: one core, HALT or a run limit. */
 SimResult
-runProgram(const Program &program, const SimConfig &config,
-           std::string *stats_dump)
+runDetailed(const Program &program, const SimConfig &config,
+            std::string *stats_dump, ReadWatch *watch)
 {
-    // Any fast-forward/checkpoint/sampling request routes through the
-    // sampled-simulation driver; plain detailed runs stay on this path.
-    if (ckpt::wantsSampledRun(config))
-        return ckpt::runSampled(program, config, stats_dump);
-
     StatRegistry stats;
     OooCore core(program, config, stats);
+    core.watchReads(watch);
     const auto host_start = std::chrono::steady_clock::now();
     {
         telemetry::ScopedSpan span("detailed-window", "phase");
@@ -45,6 +40,35 @@ runProgram(const Program &program, const SimConfig &config,
 
     return harvestResult(program, config, stats, core,
                          host_elapsed.count());
+}
+
+} // namespace
+
+SimResult
+runProgram(const Program &program, const SimConfig &config)
+{
+    return runProgram(program, config, nullptr);
+}
+
+SimResult
+runProgram(const Program &program, const SimConfig &config,
+           std::string *stats_dump)
+{
+    // Any fast-forward/checkpoint/sampling request routes through the
+    // sampled-simulation driver; plain detailed runs stay on this path.
+    if (ckpt::wantsSampledRun(config))
+        return ckpt::runSampled(program, config, stats_dump);
+    return runDetailed(program, config, stats_dump, nullptr);
+}
+
+SimResult
+runProgram(const Program &program, const SimConfig &config,
+           ReadWatch &watch)
+{
+    if (ckpt::wantsSampledRun(config))
+        DGSIM_FATAL("a read watch needs a plain detailed run, not the "
+                    "sampled driver");
+    return runDetailed(program, config, nullptr, &watch);
 }
 
 SimResult

@@ -20,6 +20,7 @@ namespace dgsim
 
 class OooCore;
 class StatRegistry;
+struct ReadWatch;
 
 /** Everything measured in one simulation run. */
 struct SimResult
@@ -115,6 +116,15 @@ SimResult runProgram(const Program &program, const SimConfig &config);
  */
 SimResult runProgram(const Program &program, const SimConfig &config,
                      std::string *stats_dump);
+
+/**
+ * Same as runProgram(@p program, @p config), with the timing core
+ * reporting value reads of @p watch's words into it (cpu/core.hh).
+ * Plain detailed runs only: a config that wants the sampled driver
+ * (ckpt::wantsSampledRun) is fatal here.
+ */
+SimResult runProgram(const Program &program, const SimConfig &config,
+                     ReadWatch &watch);
 
 /**
  * Build a SimResult from a finished run's registry and core. Shared by

@@ -13,6 +13,8 @@
  *
  * The integer cases also feed the completion journal and telemetry
  * trace readers, which share the one number rule (common/number.hh).
+ * Every reader shares one string parser too, whose `\u` escape must
+ * take exactly four hex digits.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <string>
 
 #include "runner/journal.hh"
+#include "runner/json.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
 #include "telemetry/trace.hh"
@@ -237,6 +240,22 @@ TEST(DoubleParsing, WhitespaceAndPlusPrefixesAreFatal)
     EXPECT_EXIT(readJsonlText(corruptedLine("\"ipc\":0.5",
                                             "\"ipc\":\"+0.5\"")),
                 testing::ExitedWithCode(1), "bad number for ipc");
+}
+
+TEST(StringParsing, UnicodeEscapeTakesExactlyFourHexDigits)
+{
+    const auto member = [](const std::string &text) {
+        return jsonMember(JsonParser(text).parse(), "s").str;
+    };
+    EXPECT_EQ(member(R"({"s":"a\u0041b"})"), "aAb");
+    EXPECT_EQ(member(R"({"s":"a\u004ab"})"), "aJb");
+    // strtoul alone read "zzzz" as 0 and skipped a sign or leading
+    // space: each read back as a different string instead of failing.
+    for (const char *bad : {R"({"s":"a\uzzzzb"})", R"({"s":"a\u00zzb"})",
+                            R"({"s":"a\u 041b"})", R"({"s":"a\u-041b"})",
+                            R"({"s":"a\u+041b"})"}) {
+        EXPECT_THROW(JsonParser(bad).parse(), JsonParseError) << bad;
+    }
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "fuzz/dgasm.hh"
@@ -240,6 +241,16 @@ TEST(LeakOracleHealthTest, InconclusivePairPoisonsNoLeak)
         secretSteeredProgram, makeConfig(Scheme::Unsafe, false),
         {{2, 4}, {2, 3}});
     EXPECT_TRUE(check.inconclusive());
+}
+
+TEST(LeakOracleHealthTest, EmptyPairListIsAnErrorNotNoLeak)
+{
+    // A check that examined no pair simulated nothing; reading it as
+    // NoLeak would turn "couldn't tell" into "proven clean".
+    EXPECT_THROW(security::checkLeakPairs(seed("spectre_v1"),
+                                          makeConfig(Scheme::Unsafe, false),
+                                          {}),
+                 std::invalid_argument);
 }
 
 // --- The seeded secret-pair list ----------------------------------------
